@@ -14,6 +14,13 @@ tableau label q, `casimir_symbol` is the scalar
 
 where d is the shift; `casimir_eigenvalue` evaluates it and
 `highest_weight_vector` produces the canonical generator of each block.
+
+`fiber_casimir` is the kernel of `casimir_symbol` on one fiber monomial:
+the Casimir ignores x, so `casimir_symbol` maps each distinct fiber
+monomial of a body once, in one pass over the terms.  With its shift
+scalars set to zero it is the shift-free operator from which
+`projquant.isotypic` builds its projectors, one fiber monomial at a time and
+memoised per solve.
 """
 
 from __future__ import annotations
@@ -77,37 +84,59 @@ def highest_weight_vector(k: int, l: int, q: int, ctx: Context) -> SymbolPoly:
 _OpOrSym = TypeVar("_OpOrSym", bound=Union[SymbolPoly, BidiffOp])
 
 
+def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], base, euler) -> list:
+    """Degree-preserving Casimir of the fiber monomial a^u b^v, as a list of
+    (u', v', coefficient) with zero terms omitted.
+
+    base and euler are the context scalars n(n+1)d(d-1) and 2(n+1)(1-d);
+    with base 0 and euler 2(n+1) the result is shift-free.  Of the terms
+    xi_ki xi_lj D_l. D_k. (families k, l; indices i, j) only those moving
+    one a-index j to i and one b-index i to j, i != j, change the monomial,
+    each move carrying 2 u_j v_i.  The rest restore the monomial and sum to
+    deg^2 - 2 deg + |u|^2 + |v|^2 + 2 u.v on the diagonal."""
+    ua = sum(u)
+    vb = sum(v)
+    deg = ua + vb
+    diag = (base + euler * deg + deg * deg - 2 * deg + ua * ua + vb * vb
+            + 2 * sum(x * y for x, y in zip(u, v) if x))
+    out = [(u, v, diag)] if diag else []
+    for j, uj in enumerate(u):
+        if not uj:
+            continue
+        for i, vi in enumerate(v):
+            if vi and i != j:
+                u2 = list(u)
+                u2[j] -= 1
+                u2[i] += 1
+                v2 = list(v)
+                v2[i] -= 1
+                v2[j] += 1
+                out.append((tuple(u2), tuple(v2), 2 * uj * vi))
+    return out
+
+
 def _ct_body(body: Poly, ctx: Context) -> Poly:
+    ctx.fiber_families()  # arity must be representable
     n = ctx.n
     d = ctx.delta
-    fams = ctx.fiber_families()
-    out = (n * (n + 1) * d * (d - 1)) * body
-    for fam in fams:
-        e = body.euler(fam)
-        if not e.is_zero():
-            out = out + (2 * (n + 1) * (1 - d)) * e
-    for fam_k in fams:
-        if body.degree(fam_k) <= 0:
-            continue
-        for fam_l in fams:
-            if body.degree(fam_l) <= 0:
-                continue
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    xi_k_i = Poly.variable(n, fam_k, i)
-                    xi_l_j = Poly.variable(n, fam_l, j)
-                    cross = body.diff(fam_l, i).diff(fam_k, j)
-                    if not cross.is_zero():
-                        out = out + xi_k_i * xi_l_j * cross
-                    straight = body.diff(fam_l, j).diff(fam_k, i)
-                    if not straight.is_zero():
-                        out = out + xi_k_i * xi_l_j * straight
-    return out
+    base = n * (n + 1) * d * (d - 1)
+    euler = 2 * (n + 1) * (1 - d)
+    images: dict = {}
+    terms: dict = {}
+    for (xa, aa, ba), c in body.terms.items():
+        image = images.get((aa, ba))
+        if image is None:
+            image = images[(aa, ba)] = fiber_casimir(aa, ba, base, euler)
+        for a2, b2, k in image:
+            key = (xa, a2, b2)
+            terms[key] = terms.get(key, 0) + c * k
+    return Poly._trusted(n, {key: c for key, c in terms.items() if c})
 
 
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     """Degree-preserving closed form: acts on fiber variables only, so it is
-    transparent to the x coefficients."""
+    transparent to the x coefficients and is computed once per distinct
+    fiber monomial of the body."""
     return type(arg)(_ct_body(arg.body, arg.context), arg.context)
 
 

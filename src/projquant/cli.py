@@ -149,11 +149,13 @@ def _context_from(args) -> Context:
                    parse_rational(args.mu))
 
 
-def _cmd_quantize(args) -> int:
+def _solve(args, solver, result_key: str) -> int:
+    """Parse the expression, run the solver in the context of the args and
+    print the result, or the obstruction with exit code 2."""
     ctx = _context_from(args)
     body = parse_poly(args.expr, args.n)
     try:
-        result = quantize(SymbolPoly(body, ctx))
+        result = solver(body, ctx)
     except ObstructionError as err:
         print(json.dumps({"obstruction": {
             "source": list(err.source),
@@ -163,32 +165,21 @@ def _cmd_quantize(args) -> int:
         return OBSTRUCTION_EXIT
     print(json.dumps({
         "input": format_poly(body),
-        "operator": format_poly(result.operator.body),
+        result_key: format_poly(getattr(result, result_key).body),
         "free_slots": sorted([i, p] for i, p in result.free_slots),
         "unique": result.unique,
     }, sort_keys=True))
     return 0
+
+
+def _cmd_quantize(args) -> int:
+    return _solve(args, lambda body, ctx: quantize(SymbolPoly(body, ctx)),
+                  "operator")
 
 
 def _cmd_symbol(args) -> int:
-    ctx = _context_from(args)
-    body = parse_poly(args.expr, args.n)
-    try:
-        result = symbol_map(BidiffOp(body, ctx))
-    except ObstructionError as err:
-        print(json.dumps({"obstruction": {
-            "source": list(err.source),
-            "blocked": list(err.blocked),
-            "component": format_poly(err.obstruction.body),
-        }}, sort_keys=True))
-        return OBSTRUCTION_EXIT
-    print(json.dumps({
-        "input": format_poly(body),
-        "symbol": format_poly(result.symbol.body),
-        "free_slots": sorted([i, p] for i, p in result.free_slots),
-        "unique": result.unique,
-    }, sort_keys=True))
-    return 0
+    return _solve(args, lambda body, ctx: symbol_map(BidiffOp(body, ctx)),
+                  "symbol")
 
 
 def _cmd_verify(args) -> int:

@@ -76,17 +76,18 @@ class _Parser:
         return result
 
     def expr(self) -> Poly:
-        value = self.term()
+        # Summands accumulate into one term map: adding Poly values one by
+        # one would copy the running sum for every summand.
+        terms: dict = {}
+        negate = False
         while True:
+            for key, coeff in self.term().terms.items():
+                terms[key] = terms.get(key, 0) + (-coeff if negate else coeff)
             kind, _, _ = self.tok.peek()
-            if kind == "+":
-                self.tok.next()
-                value = value + self.term()
-            elif kind == "-":
-                self.tok.next()
-                value = value - self.term()
-            else:
-                return value
+            if kind not in ("+", "-"):
+                return Poly(self.n, terms)
+            self.tok.next()
+            negate = kind == "-"
 
     def term(self) -> Poly:
         value = self.prefix()

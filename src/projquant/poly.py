@@ -67,6 +67,15 @@ class Poly:
     # constructors
 
     @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "Poly":
+        """Wrap a term map that is already canonical (exact, no zeros)."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.terms = terms
+        out._hash = None
+        return out
+
+    @classmethod
     def zero(cls, n: int) -> "Poly":
         return cls(n)
 
@@ -143,20 +152,12 @@ class Poly:
                 terms[key] = new
             else:
                 terms.pop(key, None)
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = terms
-        out._hash = None
-        return out
+        return Poly._trusted(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Poly._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,11 +173,7 @@ class Poly:
         c = as_fraction(value)
         if c == 0:
             return Poly.zero(self.n)
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = {k: c * v for k, v in self.terms.items()}
-        out._hash = None
-        return out
+        return Poly._trusted(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -197,11 +194,7 @@ class Poly:
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-        out = Poly.__new__(Poly)
-        out.n = self.n
-        out.terms = terms
-        out._hash = None
-        return out
+        return Poly._trusted(self.n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -74,7 +74,7 @@ class SymbolMapResult:
 
 
 def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
-                       free_slots: set[SpectralLabel]) -> Poly:
+                       memo: dict, free_slots: set[SpectralLabel]) -> Poly:
     """Solve the triangular system below one eigencomponent."""
     n, delta = ctx.n, ctx.delta
     gamma = casimir_eigenvalue(n, delta, label.i, label.p)
@@ -82,7 +82,7 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
     current = body
     for j in range(label.i - 1, -1, -1):
         correction = _nc_body(current, ctx)
-        parts = decompose_body(correction, j, ctx)
+        parts = decompose_body(correction, j, ctx, memo)
         level = Poly.zero(n)
         for lab in labels_for_degree(ctx, j):
             gap = gamma - casimir_eigenvalue(n, delta, lab.i, lab.p)
@@ -99,34 +99,41 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
     return total
 
 
+def _quantize_body(body: Poly, ctx: Context, memo: dict,
+                   free_slots: set[SpectralLabel]) -> Poly:
+    """Prolong every isotypic component of a symbol body and sum."""
+    ctx.fiber_families()  # arity must be representable
+    total = Poly.zero(ctx.n)
+    for degree, part in sorted(body.fiber_parts().items(), reverse=True):
+        for label, piece in sorted(decompose_body(part, degree, ctx, memo).items()):
+            total = total + _prolong_component(piece, label, ctx, memo, free_slots)
+    return total
+
+
 def quantize(sym: SymbolPoly) -> QuantizationResult:
     """Equivariant prolongation of a symbol into an operator.
 
     Sources of different degrees and labels are processed independently and
-    summed; the principal part of the result equals the input."""
-    ctx = sym.context
-    ctx.fiber_families()  # arity must be representable
+    summed; the principal part of the result equals the input.  One
+    projection memo serves the whole call."""
     free_slots: set[SpectralLabel] = set()
-    total = Poly.zero(ctx.n)
-    for degree, part in sorted(sym.body.fiber_parts().items(), reverse=True):
-        for label, piece in sorted(decompose_body(part, degree, ctx).items()):
-            total = total + _prolong_component(piece, label, ctx, free_slots)
-    return QuantizationResult(BidiffOp(total, ctx), frozenset(free_slots))
+    total = _quantize_body(sym.body, sym.context, {}, free_slots)
+    return QuantizationResult(BidiffOp(total, sym.context), frozenset(free_slots))
 
 
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
-    """Inverse of quantize, by principal-part peeling."""
+    """Inverse of quantize, by principal-part peeling; every peeling step
+    shares one projection memo."""
     ctx = op.context
     remaining = op.body
     collected = Poly.zero(ctx.n)
     free_slots: set[SpectralLabel] = set()
+    memo: dict = {}
     while not remaining.is_zero():
         degree = remaining.fiber_degree()
         top = remaining.fiber_parts()[degree]
         collected = collected + top
-        prolonged = quantize(SymbolPoly(top, ctx))
-        free_slots |= prolonged.free_slots
-        remaining = remaining - prolonged.operator.body
+        remaining = remaining - _quantize_body(top, ctx, memo, free_slots)
         if not remaining.is_zero() and remaining.fiber_degree() >= degree:
             raise AssertionError("peeling failed to lower the order")
     return SymbolMapResult(SymbolPoly(collected, ctx), frozenset(free_slots))

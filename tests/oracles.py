@@ -3,12 +3,20 @@
 sympy serves as a second arithmetic engine: polynomials are converted to
 sympy expressions and the checked operation is redone there, so an agreement
 is evidence about the implementation rather than a tautology.
+
+The reference Casimir and projector below are the engine's former whole-body
+forms: the symbol Casimir as a sum of second derivatives in the fiber
+variables, and each isotypic projector as a Lagrange product of Casimir
+applications to the whole x-dependent body.
 """
 
 from __future__ import annotations
 
 import sympy
 
+from projquant.casimir import casimir_eigenvalue
+from projquant.densities import Context, SymbolPoly
+from projquant.isotypic import labels_for_degree
 from projquant.poly import Poly
 
 
@@ -33,3 +41,49 @@ def to_sympy(p: Poly):
 
 def sympy_equal(p: Poly, expr) -> bool:
     return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def ct_body_reference(body: Poly, ctx: Context) -> Poly:
+    """Symbol Casimir: n(n+1)d(d-1) + 2(n+1)(1-d) Euler + the sum over
+    families k, l and indices i, j of xi_ki xi_lj (D_li D_kj + D_lj D_ki)."""
+    n = ctx.n
+    d = ctx.delta
+    fams = ctx.fiber_families()
+    out = (n * (n + 1) * d * (d - 1)) * body
+    for fam in fams:
+        out = out + (2 * (n + 1) * (1 - d)) * body.euler(fam)
+    for fam_k in fams:
+        for fam_l in fams:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    xi_k_i = Poly.variable(n, fam_k, i)
+                    xi_l_j = Poly.variable(n, fam_l, j)
+                    cross = body.diff(fam_l, i).diff(fam_k, j)
+                    straight = body.diff(fam_l, j).diff(fam_k, i)
+                    out = out + xi_k_i * xi_l_j * (cross + straight)
+    return out
+
+
+def project_reference(body: Poly, degree: int, p: int, ctx: Context) -> Poly:
+    """Lagrange projector onto the (degree, p) block, applied to the whole
+    homogeneous body."""
+    gamma_p = casimir_eigenvalue(ctx.n, ctx.delta, degree, p)
+    out = body
+    for _, q in labels_for_degree(ctx, degree):
+        if q == p:
+            continue
+        gamma_q = casimir_eigenvalue(ctx.n, ctx.delta, degree, q)
+        shifted = ct_body_reference(out, ctx) - gamma_q * out
+        out = shifted.scale(1 / (gamma_p - gamma_q))
+    return out
+
+
+def decompose_reference(sym: SymbolPoly) -> dict:
+    """Nonzero Lagrange projections of every homogeneous part, by label."""
+    out = {}
+    for degree, part in sym.body.fiber_parts().items():
+        for label in labels_for_degree(sym.context, degree):
+            piece = project_reference(part, degree, label.p, sym.context)
+            if not piece.is_zero():
+                out[label] = SymbolPoly(piece, sym.context)
+    return dict(sorted(out.items()))

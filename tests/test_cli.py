@@ -121,6 +121,14 @@ def test_symbol_command_round_trip(capsys):
     assert payload["unique"] is True
 
 
+def test_symbol_obstruction_exit_two(capsys):
+    code, out, _ = run(capsys, "symbol", "--n", "2", "--lambda1", "0",
+                       "--lambda2", "0", "--mu", "5/3", "x1*a1*a1")
+    assert code == 2
+    assert json.loads(out) == {"obstruction": {
+        "source": [2, 0], "blocked": [1, 0], "component": "4*a1"}}
+
+
 def test_verify_suites_pass(capsys):
     for suite in ("casimir", "spectrum", "resonance"):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "2",

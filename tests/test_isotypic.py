@@ -13,6 +13,8 @@ from projquant.poly import Poly
 from projquant.sampling import random_body
 from projquant.slbasis import sl_basis
 
+from oracles import ct_body_reference, decompose_reference
+
 
 def ctx_d(n, delta):
     return Context.from_delta(n, (Fraction(0), Fraction(0)), delta)
@@ -133,3 +135,21 @@ def test_arity_one_labels():
     body = parse_poly("x1*a1^2*a2", 2)
     parts = decompose(SymbolPoly(body, ctx))
     assert set(parts) == {(3, 0)}
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fiber_monomial_kernels_match_whole_body_references(n, arity):
+    rng = random.Random(100 * n + arity)
+    weights = (Fraction(1, 3), Fraction(-2, 5))[:arity]
+    ctx = Context.from_delta(n, weights, Fraction(1, 2))
+    other = Context.from_delta(n, weights, Fraction(-7, 3))
+    for _ in range(3):
+        body = random_body(rng, n, 6, 2, arity, terms=10)
+        sym = SymbolPoly(body, ctx)
+        assert casimir_symbol(sym).body == ct_body_reference(body, ctx)
+        parts = decompose(sym)
+        assert parts == decompose_reference(sym)
+        shifted = decompose(SymbolPoly(body, other))
+        assert {k: v.body for k, v in shifted.items()} == {
+            k: v.body for k, v in parts.items()}

@@ -81,3 +81,27 @@ def test_syntax_errors_carry_position():
         parse_poly("x1^-2", N)
     with pytest.raises(ParseError):
         parse_poly("y1", N)
+
+
+def test_dense_body_round_trips():
+    from projquant.poly import multi_indices
+    monomials = [m for d in range(5) for m in multi_indices(N, d)]
+    terms = {}
+    for xa in monomials[:10]:
+        for aa in monomials:
+            for ba in monomials[:10]:
+                k = len(terms)
+                terms[(xa, aa, ba)] = Fraction(k % 7 - 3 or 5, 1 + k % 5)
+    body = Poly(N, terms)
+    assert len(body.terms) == 1500
+    text = format_poly(body)
+    assert parse_poly(text, N) == body
+    assert format_poly(parse_poly(text, N)) == text
+
+
+def test_repeated_terms_merge():
+    assert parse_poly("a1 + 2*x1*b2 - 1/2*a1 + b2*x1", N) == parse_poly(
+        "1/2*a1 + 3*x1*b2", N)
+    assert parse_poly("a1 - a1", N).is_zero()
+    assert format_poly(parse_poly("a1 - a1", N)) == "0"
+    assert parse_poly("x1 - (x1 - a2) - a2", N).is_zero()
