@@ -12,6 +12,7 @@ from fractions import Fraction
 from projquant import (Context, casimir_eigenvalue, casimir_symbol,
                        decompose, highest_weight_vector, SymbolPoly,
                        format_poly, parse_poly)
+from projquant.casimir import tableau_labels
 
 n = 2
 delta = Fraction(1, 2)
@@ -20,7 +21,7 @@ ctx = Context.from_delta(n, (Fraction(0), Fraction(0)), delta)
 print(f"Spectrum table at n={n}, shift={delta}")
 print(f"{'degree':>8} {'tableau':>8} {'eigenvalue':>12}")
 for i in range(5):
-    for p in range(i // 2 + 1):
+    for p in tableau_labels(n, i):
         print(f"{i:>8} {p:>8} {str(casimir_eigenvalue(n, delta, i, p)):>12}")
 
 print()

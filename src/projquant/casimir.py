@@ -44,14 +44,17 @@ class LabelRangeError(ValueError):
     """Spectral label outside the admissible range."""
 
 
+def tableau_labels(n: int, i: int) -> range:
+    """Admissible tableau labels p at total degree i >= 0: 0 <= p <= floor(i/2),
+    and only p = 0 in dimension one.  Rejects dimensions n < 1."""
+    if n < 1:
+        raise LabelRangeError(f"dimension must be >= 1, got n={n}")
+    return range(1 if n == 1 else i // 2 + 1)
+
+
 def check_label(n: int, i: int, p: int):
-    if i < 0 or p < 0:
-        raise LabelRangeError(f"label ({i},{p}) must be non-negative")
-    if n == 1:
-        if p != 0:
-            raise LabelRangeError(f"label ({i},{p}) invalid: p must be 0 when n=1")
-    elif p > i // 2:
-        raise LabelRangeError(f"label ({i},{p}) invalid: p exceeds floor(i/2)")
+    if i < 0 or p not in tableau_labels(n, i):
+        raise LabelRangeError(f"label ({i},{p}) is not admissible when n={n}")
 
 
 def casimir_eigenvalue(n: int, delta, i: int, p: int) -> Fraction:
@@ -70,8 +73,7 @@ def highest_weight_vector(k: int, l: int, q: int, ctx: Context) -> SymbolPoly:
     if q < 0 or q > min(k, l):
         raise LabelRangeError(f"tableau label q={q} exceeds min(k,l)={min(k, l)}")
     n = ctx.n
-    if n == 1 and q > 0:
-        raise LabelRangeError("q must be 0 when n=1")
+    check_label(n, k + l, q)
     body = (Poly.variable(n, ALPHA, 1) ** (k - q)
             * Poly.variable(n, BETA, 1) ** (l - q))
     if q:

@@ -14,17 +14,24 @@ import re
 import sys
 from fractions import Fraction
 
-from .casimir import casimir_eigenvalue
+from .casimir import casimir_eigenvalue, tableau_labels
 from .densities import Context, SymbolPoly, BidiffOp
 from .parsing import ParseError, format_poly, parse_poly
 from .quantization import ObstructionError, quantize, symbol_map
-from .resonance import classify_shift, critical_values_in_interval
+from .resonance import classify_shift, critical_lower_bound, critical_values_in_interval
 from .verify import run_suite
 
 USAGE_EXIT = 1
 OBSTRUCTION_EXIT = 2
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+# Highest degree that spectrum, critical and resonances may scan; a scan to
+# degree k visits about k^4/32 label pairs.  critical and resonances scan to
+# the critical bound index of their shift, which passes the limit exactly when
+# the non-decreasing critical_lower_bound(n, SCAN_ORDER_LIMIT) <= shift: shifts
+# below 65/2 pass at n=1, below 33/2 at n=2 and below 101/8 at n=3.
+SCAN_ORDER_LIMIT = 64
 
 
 class UsageError(Exception):
@@ -65,19 +72,13 @@ def _build_parser() -> _Parser:
     resonances.add_argument("--max-order", type=int, default=6)
     resonances.add_argument("--json", action="store_true")
 
-    quant = sub.add_parser("quantize", help="prolong a symbol")
-    quant.add_argument("--n", type=int, required=True)
-    quant.add_argument("--lambda1", required=True)
-    quant.add_argument("--lambda2", required=True)
-    quant.add_argument("--mu", required=True)
-    quant.add_argument("expr")
-
-    symb = sub.add_parser("symbol", help="symbol of an operator")
-    symb.add_argument("--n", type=int, required=True)
-    symb.add_argument("--lambda1", required=True)
-    symb.add_argument("--lambda2", required=True)
-    symb.add_argument("--mu", required=True)
-    symb.add_argument("expr")
+    for name, text in (("quantize", "prolong a symbol"),
+                       ("symbol", "symbol of an operator")):
+        solve = sub.add_parser(name, help=text)
+        solve.add_argument("--n", type=int, required=True)
+        for weight in ("--lambda1", "--lambda2", "--mu"):
+            solve.add_argument(weight, required=True)
+        solve.add_argument("expr")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", required=True)
@@ -97,12 +98,23 @@ def _emit(payload, as_json: bool, text_lines) -> None:
             print(line)
 
 
+def _check_order(max_order: int) -> None:
+    if not 0 <= max_order <= SCAN_ORDER_LIMIT:
+        raise UsageError(f"scan limit: --max-order must be in 0..{SCAN_ORDER_LIMIT}")
+
+
+def _check_shift(n: int, shift: Fraction) -> None:
+    top = critical_lower_bound(n, SCAN_ORDER_LIMIT)
+    if top <= shift:
+        raise UsageError(f"scan limit: shift must be below {top} at n={n}")
+
+
 def _cmd_spectrum(args) -> int:
     delta = parse_rational(args.delta)
-    rows = []
-    for i in range(args.max_order + 1):
-        for p in range(0 if args.n == 1 else i // 2 + 1):
-            rows.append([i, p, str(casimir_eigenvalue(args.n, delta, i, p))])
+    _check_order(args.max_order)
+    rows = [[i, p, str(casimir_eigenvalue(args.n, delta, i, p))]
+            for i in range(args.max_order + 1)
+            for p in tableau_labels(args.n, i)]
     _emit({"delta": str(delta), "gamma": rows}, args.json,
           [f"i={i} p={p} gamma={g}" for i, p, g in rows])
     return 0
@@ -111,6 +123,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_critical(args) -> int:
     lo = parse_rational(args.range[0])
     hi = parse_rational(args.range[1])
+    _check_shift(args.n, hi)
     grouped = critical_values_in_interval(args.n, lo, hi)
     payload = [{"delta": str(d),
                 "tuples": [[t.i, t.p, t.j, t.q] for t in tuples]}
@@ -125,6 +138,8 @@ def _cmd_critical(args) -> int:
 
 def _cmd_resonances(args) -> int:
     delta = parse_rational(args.delta)
+    _check_order(args.max_order)
+    _check_shift(args.n, delta)
     result = classify_shift(args.n, delta, args.max_order)
     payload = {
         "delta": str(delta),

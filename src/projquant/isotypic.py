@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .casimir import SpectralLabel, casimir_eigenvalue, check_label, fiber_casimir
+from .casimir import (LabelRangeError, SpectralLabel, casimir_eigenvalue,
+                      fiber_casimir, tableau_labels)
 from .densities import Context, SymbolPoly
 from .poly import Poly
 
@@ -27,9 +28,9 @@ def labels_for_degree(ctx: Context, degree: int) -> tuple[SpectralLabel, ...]:
     """Admissible labels (degree, q) in this context."""
     if degree < 0:
         return ()
-    if ctx.n == 1 or ctx.arity == 1:
+    if ctx.arity == 1:
         return (SpectralLabel(degree, 0),)
-    return tuple(SpectralLabel(degree, q) for q in range(degree // 2 + 1))
+    return tuple(SpectralLabel(degree, q) for q in tableau_labels(ctx.n, degree))
 
 
 def _project_fiber(u: tuple[int, ...], v: tuple[int, ...],
@@ -105,9 +106,8 @@ def isotypic_project(sym: SymbolPoly, label: SpectralLabel) -> SymbolPoly:
     """Projection of a homogeneous symbol onto one eigenblock."""
     i, p = label
     ctx = sym.context
-    check_label(ctx.n, i, p)
-    if ctx.arity == 1 and p != 0:
-        raise ValueError("arity-1 symbols only carry p = 0 labels")
+    if label not in labels_for_degree(ctx, i):
+        raise LabelRangeError(f"label ({i},{p}) is not admissible in this context")
     if sym.body.is_zero():
         return sym
     degrees = set(sym.body.fiber_parts())

@@ -221,14 +221,7 @@ def linear_quantize_order2(sym: SymbolPoly, lam, mu) -> BidiffOp:
     lam = as_fraction(lam)
     mu = as_fraction(mu)
     ctx1 = Context(sym.context.n, (lam,), mu)
-    delta = ctx1.delta
-    if delta == 1:
-        raise CriticalShiftError("1 - delta", delta)
-    n = ctx1.n
-    if delta == Fraction(n + 2, n + 1):
-        raise CriticalShiftError("(n+1)(1-delta) + 1", delta)
-    if delta == Fraction(n + 3, n + 1):
-        raise CriticalShiftError("(n+1)(1-delta) + 2", delta)
+    _order2_denominators(ctx1)
     if sym.body.fiber_degree() > 2:
         raise ValueError("degree must be <= 2")
     return quantize(SymbolPoly(sym.body, ctx1)).operator

@@ -4,22 +4,25 @@ A shift is resonant when two Casimir eigenvalues of different total degrees
 coincide; the witnessing shift is determined by the labels because the
 quadratic terms in the shift cancel.  A resonance (i, p; j, q) is critical
 when additionally 0 <= p - q <= i - j, the condition under which the
-degree-lowering correction can actually reach the colliding block.
+degree-lowering correction can actually reach the colliding block.  Every
+scan enumerates label pairs with `label_pairs`, in lexicographic order of
+(i, p, j, q), and evaluates the closed form without re-checking labels.
 
 Criticality verdicts are complete: `critical_lower_bound` is non-decreasing
 and unbounded in the degree, so a finite scan certifies that no critical
 tuple exists beyond the returned bound.  Resonance verdicts are only
 complete up to the enumeration cap, which the classification result records
 (resonances exist at unbounded order, e.g. shift 0 in dimension two via the
-tuple (7,3;6,0)).
+tuple (7,3;6,0)).  The command line caps scans at `cli.SCAN_ORDER_LIMIT`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .casimir import LabelRangeError, check_label
+from .casimir import LabelRangeError, check_label, tableau_labels
 from .poly import as_fraction
 
 
@@ -42,6 +45,11 @@ def resonant_delta(n: int, i: int, p: int, j: int, q: int) -> Fraction:
     check_label(n, j, q)
     if i <= j:
         raise LabelRangeError(f"need i > j, got i={i}, j={j}")
+    return _resonant_shift(n, i, p, j, q)
+
+
+def _resonant_shift(n: int, i: int, p: int, j: int, q: int) -> Fraction:
+    """The closed form of `resonant_delta` for labels known to be valid."""
     numerator = (i * i - j * j + (n - p) * i - (n - q) * j
                  + p * (p - 1) - q * (q - 1))
     return Fraction(numerator, (n + 1) * (i - j))
@@ -51,8 +59,15 @@ def is_critical(i: int, p: int, j: int, q: int) -> bool:
     return 0 <= p - q <= i - j
 
 
-def _max_tableau(n: int, i: int) -> int:
-    return 0 if n == 1 else i // 2
+def label_pairs(n: int, max_degree: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every (i, p, j, q) with 1 <= i <= max_degree, 0 <= j < i and
+    admissible tableau labels p at i and q at j, in lexicographic order."""
+    labels = [tableau_labels(n, k) for k in range(max_degree + 1)]
+    for i in range(1, max_degree + 1):
+        for p in labels[i]:
+            for j in range(i):
+                for q in labels[j]:
+                    yield i, p, j, q
 
 
 def critical_lower_bound(n: int, i: int) -> Fraction:
@@ -63,7 +78,7 @@ def critical_lower_bound(n: int, i: int) -> Fraction:
     resonances (i, 0; j, 0)."""
     if i < 1:
         raise ValueError("degree must be >= 1")
-    return resonant_delta(n, i, _max_tableau(n, i), 0, 0)
+    return _resonant_shift(n, i, tableau_labels(n, i)[-1], 0, 0)
 
 
 def critical_bound_index(n: int, delta) -> int:
@@ -80,18 +95,6 @@ def one_dimensional_resonances(i: int, j: int) -> Fraction:
     if i <= j or j < 0:
         raise LabelRangeError(f"need i > j >= 0, got i={i}, j={j}")
     return 1 + Fraction(i + j - 1, 2)
-
-
-def _tuples_at(n: int, delta: Fraction, max_i: int) -> list[ResonanceTuple]:
-    found = []
-    for i in range(1, max_i + 1):
-        for p in range(_max_tableau(n, i) + 1):
-            for j in range(i):
-                for q in range(_max_tableau(n, j) + 1):
-                    if resonant_delta(n, i, p, j, q) == delta:
-                        found.append(ResonanceTuple(
-                            i, p, j, q, delta, is_critical(i, p, j, q)))
-    return found
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,10 @@ def classify_shift(n: int, delta, max_order: int) -> ShiftClassification:
     d = as_fraction(delta)
     bound = critical_bound_index(n, d)
     cap = max(max_order, bound)
-    return ShiftClassification(d, cap, bound, tuple(_tuples_at(n, d, cap)))
+    tuples = tuple(ResonanceTuple(i, p, j, q, d, is_critical(i, p, j, q))
+                   for i, p, j, q in label_pairs(n, cap)
+                   if _resonant_shift(n, i, p, j, q) == d)
+    return ShiftClassification(d, cap, bound, tuples)
 
 
 def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[ResonanceTuple]]]:
@@ -131,14 +137,9 @@ def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[Res
     if lo > hi:
         raise ValueError("empty interval")
     grouped: dict[Fraction, list[ResonanceTuple]] = {}
-    for i in range(1, critical_bound_index(n, hi)):
-        for p in range(_max_tableau(n, i) + 1):
-            for j in range(i):
-                for q in range(_max_tableau(n, j) + 1):
-                    if not is_critical(i, p, j, q):
-                        continue
-                    d = resonant_delta(n, i, p, j, q)
-                    if lo <= d <= hi:
-                        grouped.setdefault(d, []).append(ResonanceTuple(
-                            i, p, j, q, d, True))
+    for i, p, j, q in label_pairs(n, critical_bound_index(n, hi) - 1):
+        if is_critical(i, p, j, q):
+            d = _resonant_shift(n, i, p, j, q)
+            if lo <= d <= hi:
+                grouped.setdefault(d, []).append(ResonanceTuple(i, p, j, q, d, True))
     return sorted(grouped.items())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .casimir import (casimir_correction, casimir_direct, casimir_eigenvalue,
-                      casimir_symbol, highest_weight_vector)
+                      casimir_symbol, highest_weight_vector, tableau_labels)
 from .densities import (Context, lie_derivative_operator,
                         lie_derivative_symbol, lie_derivative_via_definition,
                         apply_operator)
@@ -21,7 +21,7 @@ from .poly import Poly
 from .quantization import quantize, symbol_map
 from .resonance import (critical_lower_bound,
                         critical_values_in_interval, is_critical,
-                        resonant_delta)
+                        label_pairs, resonant_delta)
 from .sampling import (generic_context, random_density, random_operator,
                        random_symbol)
 from .slbasis import basis_fields, bracket_closure_check
@@ -86,8 +86,7 @@ def suite_spectrum(n: int, seed: int, max_order: int = 4) -> list[Check]:
     ok = True
     for delta in (Fraction(0), Fraction(1), rng_weight(rng)):
         for i in range(13):
-            labels = range(1) if n == 1 else range(i // 2 + 1)
-            values = [casimir_eigenvalue(n, delta, i, p) for p in labels]
+            values = [casimir_eigenvalue(n, delta, i, p) for p in tableau_labels(n, i)]
             ok = ok and len(set(values)) == len(values)
     checks.append(_check("tableau_injectivity", ok))
     if n >= 2:
@@ -112,31 +111,20 @@ def suite_spectrum(n: int, seed: int, max_order: int = 4) -> list[Check]:
 def suite_resonance(n: int, seed: int, max_order: int = 8) -> list[Check]:
     checks = []
     ok = True
-    for i in range(1, max_order + 1):
-        for p in range(0 if n == 1 else i // 2, -1, -1):
-            for j in range(i):
-                for q in range(0 if n == 1 else j // 2, -1, -1):
-                    d = resonant_delta(n, i, p, j, q)
-                    ok = ok and (casimir_eigenvalue(n, d, i, p)
-                                 == casimir_eigenvalue(n, d, j, q))
+    for i, p, j, q in label_pairs(n, max_order):
+        d = resonant_delta(n, i, p, j, q)
+        ok = ok and (casimir_eigenvalue(n, d, i, p)
+                     == casimir_eigenvalue(n, d, j, q))
     checks.append(_check("definitional_identity", ok))
+    bounds = [critical_lower_bound(n, i) for i in range(1, 13)]
+    checks.append(_check("lower_bound_monotone",
+                         all(a <= b for a, b in zip(bounds, bounds[1:]))))
     ok = True
-    last = None
-    for i in range(1, 13):
-        value = critical_lower_bound(n, i)
-        if last is not None and value < last:
-            ok = False
-        last = value
-    checks.append(_check("lower_bound_monotone", ok))
-    ok = True
-    for i in range(1, 13):
-        for p in range(0 if n == 1 else i // 2 + 1):
-            for j in range(i):
-                for q in range(0 if n == 1 else j // 2 + 1):
-                    if is_critical(i, p, j, q):
-                        d = resonant_delta(n, i, p, j, q)
-                        ok = ok and d >= critical_lower_bound(n, i)
-                        ok = ok and d >= 1
+    for i, p, j, q in label_pairs(n, 12):
+        if is_critical(i, p, j, q):
+            d = resonant_delta(n, i, p, j, q)
+            ok = ok and d >= critical_lower_bound(n, i)
+            ok = ok and d >= 1
     checks.append(_check("critical_bounds", ok))
     values = [d for d, _ in critical_values_in_interval(n, 0, 2)]
     checks.append(_check("no_critical_below_one", all(v >= 1 for v in values)))

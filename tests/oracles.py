@@ -8,6 +8,10 @@ The reference Casimir and projector below are the engine's former whole-body
 forms: the symbol Casimir as a sum of second derivatives in the fiber
 variables, and each isotypic projector as a Lagrange product of Casimir
 applications to the whole x-dependent body.
+
+The reference resonance scans are the engine's former hand-written nests
+over (i, p, j, q), with the label rule written out and every shift taken
+from the checked `resonant_delta`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from projquant.casimir import casimir_eigenvalue
 from projquant.densities import Context, SymbolPoly
 from projquant.isotypic import labels_for_degree
 from projquant.poly import Poly
+from projquant.resonance import ResonanceTuple, is_critical, resonant_delta
 
 
 def sympy_symbols(n: int):
@@ -87,3 +92,49 @@ def decompose_reference(sym: SymbolPoly) -> dict:
             if not piece.is_zero():
                 out[label] = SymbolPoly(piece, sym.context)
     return dict(sorted(out.items()))
+
+
+def _top_label(n: int, i: int) -> int:
+    return 0 if n == 1 else i // 2
+
+
+def label_pairs_reference(n: int, max_degree: int) -> list:
+    """Every (i, p, j, q) with 1 <= i <= max_degree and j < i, in the order
+    of the former nested loops."""
+    pairs = []
+    for i in range(1, max_degree + 1):
+        for p in range(_top_label(n, i) + 1):
+            for j in range(i):
+                for q in range(_top_label(n, j) + 1):
+                    pairs.append((i, p, j, q))
+    return pairs
+
+
+def bound_index_reference(n: int, delta) -> int:
+    """Smallest degree i whose top-label shift resonant_delta(i, top; 0, 0)
+    exceeds delta."""
+    i = 1
+    while resonant_delta(n, i, _top_label(n, i), 0, 0) <= delta:
+        i += 1
+    return i
+
+
+def classify_reference(n: int, delta, max_order: int) -> tuple:
+    """(cap, bound index, witnessing tuples) as classify_shift reports them."""
+    bound = bound_index_reference(n, delta)
+    cap = max(max_order, bound)
+    tuples = [ResonanceTuple(i, p, j, q, delta, is_critical(i, p, j, q))
+              for i, p, j, q in label_pairs_reference(n, cap)
+              if resonant_delta(n, i, p, j, q) == delta]
+    return cap, bound, tuples
+
+
+def critical_values_reference(n: int, lo, hi) -> list:
+    """Critical shifts in [lo, hi] with their tuples, grouped and sorted."""
+    grouped: dict = {}
+    for i, p, j, q in label_pairs_reference(n, bound_index_reference(n, hi) - 1):
+        if 0 <= p - q <= i - j:
+            d = resonant_delta(n, i, p, j, q)
+            if lo <= d <= hi:
+                grouped.setdefault(d, []).append(ResonanceTuple(i, p, j, q, d, True))
+    return sorted(grouped.items())

@@ -13,7 +13,8 @@ import pytest
 
 from projquant.casimir import (LabelRangeError, casimir_correction,
                                casimir_direct, casimir_eigenvalue,
-                               casimir_symbol, highest_weight_vector)
+                               casimir_symbol, highest_weight_vector,
+                               tableau_labels)
 from projquant.densities import (BidiffOp, Context, SymbolPoly, VectorField,
                                  lie_derivative_operator)
 from projquant.isotypic import decompose
@@ -57,6 +58,17 @@ def test_eigenvalue_examples():
         casimir_eigenvalue(2, Fraction(0), 2, 2)
     with pytest.raises(LabelRangeError):
         casimir_eigenvalue(1, Fraction(0), 4, 1)
+
+
+def test_tableau_labels():
+    assert tableau_labels(1, 6) == range(1)
+    assert tableau_labels(2, 0) == range(1)
+    assert tableau_labels(3, 5) == range(3)
+    for n in (0, -1):
+        with pytest.raises(LabelRangeError):
+            tableau_labels(n, 2)
+        with pytest.raises(LabelRangeError):
+            casimir_eigenvalue(n, Fraction(0), 0, 0)
 
 
 def test_highest_weight_vectors():

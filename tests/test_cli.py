@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from projquant.cli import main, parse_rational, UsageError
+from projquant.cli import SCAN_ORDER_LIMIT, main, parse_rational, UsageError
 
 
 def run(capsys, *argv):
@@ -143,3 +143,39 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("argv", [("resonances", "--delta", "1"),
+                                  ("critical", "--range", "1", "2"),
+                                  ("spectrum", "--delta", "1"),
+                                  ("verify", "--suite", "resonance")],
+                         ids=lambda argv: argv[0])
+def test_dimension_below_one_exit_one(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dimension must be >= 1")
+
+
+def test_scan_limit(capsys):
+    """At n=1 the critical bound index of shift s is the least i with
+    (i+1)/2 > s, so 32 is the largest integer shift a scan to the limit
+    settles; unbounded shifts are rejected at once, not scanned."""
+    assert SCAN_ORDER_LIMIT == 64
+    code, out, _ = run(capsys, "resonances", "--n", "1", "--delta", "32", "--json")
+    assert code == 0
+    assert json.loads(out)["checks"]["critical_bound_index"] == SCAN_ORDER_LIMIT
+    code, out, _ = run(capsys, "critical", "--n", "1", "--range", "31", "32", "--json")
+    assert code == 0
+    assert [entry["delta"] for entry in json.loads(out)] == ["31", "63/2", "32"]
+    for argv in (("resonances", "--n", "1", "--delta", "65/2"),
+                 ("critical", "--n", "1", "--range", "0", "65/2"),
+                 ("resonances", "--n", "2", "--delta", "1000000"),
+                 ("resonances", "--n", "2", "--delta", "1", "--max-order", "65"),
+                 ("spectrum", "--n", "2", "--delta", "1", "--max-order", "65"),
+                 ("spectrum", "--n", "0", "--delta", "1", "--max-order", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: scan limit")

@@ -300,11 +300,14 @@ def test_linear_quantization_degree_one():
 
 def test_linear_quantization_excluded_shifts():
     lam = Fraction(0)
-    for delta in (Fraction(1), Fraction(N + 2, N + 1), Fraction(N + 3, N + 1)):
+    for delta, name in ((Fraction(1), "1 - delta"),
+                        (Fraction(N + 2, N + 1), "(n+1)(1-delta) + 1"),
+                        (Fraction(N + 3, N + 1), "(n+1)(1-delta) + 2")):
         ctx1 = Context(N, (lam,), delta)
         P = SymbolPoly(parse_poly("a1*a1", N), ctx1)
-        with pytest.raises(CriticalShiftError):
+        with pytest.raises(CriticalShiftError) as err:
             linear_quantize_order2(P, lam, delta)
+        assert err.value.denominator == name
 
 
 def test_linear_quantization_matches_binary_pure_block():

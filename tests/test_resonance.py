@@ -13,7 +13,11 @@ from projquant.casimir import LabelRangeError, casimir_eigenvalue
 from projquant.resonance import (classify_shift, critical_bound_index,
                                  critical_lower_bound,
                                  critical_values_in_interval, is_critical,
-                                 one_dimensional_resonances, resonant_delta)
+                                 label_pairs, one_dimensional_resonances,
+                                 resonant_delta)
+
+from oracles import (classify_reference, critical_values_reference,
+                     label_pairs_reference)
 
 
 def _labels(n, i):
@@ -171,3 +175,37 @@ def test_interval_listing():
     assert Fraction(5, 3) in listed
     n1 = dict(critical_values_in_interval(1, 1, 2))
     assert set(n1) == {Fraction(1), Fraction(3, 2), Fraction(2)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_label_pairs_match_the_nested_scan(n):
+    for max_degree in range(13):
+        assert list(label_pairs(n, max_degree)) == label_pairs_reference(n, max_degree)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scans_match_the_nested_oracle_on_a_shift_grid(n):
+    """Every critical value in [1, 4] plus generic shifts, each classified;
+    the interval listing on the whole of [1, 4], on one-point intervals and
+    on the stretches between consecutive generic shifts."""
+    critical = [d for d, _ in critical_values_reference(n, 1, 4)]
+    assert len(critical) > 3
+    generic = [Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(8, 7),
+               Fraction(22, 7), Fraction(7, 2)]
+    for delta in critical + generic:
+        result = classify_shift(n, delta, 6)
+        assert ((result.max_order, result.critical_bound, list(result.tuples))
+                == classify_reference(n, delta, 6))
+    for lo, hi in ([(1, 4)] + [(d, d) for d in critical[::10] + generic]
+                   + list(zip(generic, generic[1:]))):
+        assert critical_values_in_interval(n, lo, hi) == critical_values_reference(n, lo, hi)
+
+
+def test_scans_reject_dimensions_below_one():
+    for n in (0, -1):
+        with pytest.raises(LabelRangeError):
+            list(label_pairs(n, 3))
+        with pytest.raises(LabelRangeError):
+            classify_shift(n, Fraction(1), 6)
+        with pytest.raises(LabelRangeError):
+            critical_values_in_interval(n, 1, 2)
