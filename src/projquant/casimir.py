@@ -20,7 +20,9 @@ the Casimir ignores x, so `casimir_symbol` maps each distinct fiber
 monomial of a body once, in one pass over the terms.  With its shift
 scalars set to zero it is the shift-free operator from which
 `projquant.isotypic` builds its projectors, one fiber monomial at a time and
-memoised per solve.
+memoised per solve.  `casimir_correction` is likewise one pass over the
+terms: each term maps to at most n images per fiber family, with no
+intermediate Poly.
 """
 
 from __future__ import annotations
@@ -143,15 +145,38 @@ def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
 
 
 def _nc_body(body: Poly, ctx: Context) -> Poly:
+    """One pass over the terms: for each fiber family with weight lam and
+    each index i, x^s u maps to x^(s - e_i) u' with coefficient
+    2 s_i u_i (|u| - 1 + (n+1) lam), u the family's monomial and u' that
+    monomial with its i-th exponent lowered by one."""
+    ctx.fiber_families()  # arity must be representable
     n = ctx.n
-    out = Poly.zero(n)
-    for fam, lam in zip(ctx.fiber_families(), ctx.weights):
-        contracted = body.eta_contract(fam)
-        if contracted.is_zero():
+    families = [(slot, (n + 1) * lam) for slot, lam in zip((1, 2), ctx.weights)]
+    terms: dict = {}
+    for key, c in body.terms.items():
+        xa = key[0]
+        moves = [i for i, s in enumerate(xa) if s]
+        if not moves:
             continue
-        piece = contracted.euler(fam) + ((n + 1) * lam) * contracted
-        out = out + 2 * piece
-    return out
+        for slot, shift in families:
+            u = key[slot]
+            scale = (sum(u) - 1 + shift) * c
+            if not scale:
+                continue
+            for i in moves:
+                ui = u[i]
+                if not ui:
+                    continue
+                x2 = list(xa)
+                x2[i] -= 1
+                u2 = list(u)
+                u2[i] -= 1
+                if slot == 1:
+                    image = (tuple(x2), tuple(u2), key[2])
+                else:
+                    image = (tuple(x2), key[1], tuple(u2))
+                terms[image] = terms.get(image, 0) + scale * (2 * xa[i] * ui)
+    return Poly._trusted(n, {k: v for k, v in terms.items() if v})
 
 
 def casimir_correction(arg: _OpOrSym) -> _OpOrSym:

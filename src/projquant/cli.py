@@ -33,6 +33,12 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # below 65/2 pass at n=1, below 33/2 at n=2 and below 101/8 at n=3.
 SCAN_ORDER_LIMIT = 64
 
+# Highest --max-order that verify accepts.  The suites size their random
+# operators, and the resonance suite its label-pair walk, by this order.  At
+# n=3 the slowest suite, equivariance, took 1.7 s at order 8, 4.2 s at 10
+# and 19 s at 12.
+VERIFY_ORDER_LIMIT = 8
+
 
 class UsageError(Exception):
     pass
@@ -101,6 +107,12 @@ def _emit(payload, as_json: bool, text_lines) -> None:
 def _check_order(max_order: int) -> None:
     if not 0 <= max_order <= SCAN_ORDER_LIMIT:
         raise UsageError(f"scan limit: --max-order must be in 0..{SCAN_ORDER_LIMIT}")
+
+
+def _check_verify_order(max_order: int) -> None:
+    if not 0 <= max_order <= VERIFY_ORDER_LIMIT:
+        raise UsageError(
+            f"verify limit: --max-order must be in 0..{VERIFY_ORDER_LIMIT}")
 
 
 def _check_shift(n: int, shift: Fraction) -> None:
@@ -198,6 +210,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_verify_order(args.max_order)
     try:
         checks = run_suite(args.suite, args.n, args.seed, args.max_order)
     except KeyError as err:

@@ -209,8 +209,9 @@ class Poly:
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     # ------------------------------------------------------------------
@@ -222,6 +223,7 @@ class Poly:
             raise ValueError(f"index {index} out of range 1..{self.n}")
         slot = _SLOT[family]
         pos = index - 1
+        # Lowering one fixed exponent keeps distinct keys distinct.
         terms = {}
         for key, coeff in self.terms.items():
             exp = key[slot][pos]
@@ -231,9 +233,8 @@ class Poly:
             fam[pos] = exp - 1
             new_key = list(key)
             new_key[slot] = tuple(fam)
-            new_key = tuple(new_key)
-            terms[new_key] = terms.get(new_key, 0) + coeff * exp
-        return Poly(self.n, terms)
+            terms[tuple(new_key)] = coeff * exp
+        return Poly._trusted(self.n, terms)
 
     def diff_multi(self, family: str, multi: tuple[int, ...]) -> "Poly":
         """Iterated plain derivative D^multi in one family."""
@@ -248,6 +249,7 @@ class Poly:
     def taylor_diff(self, family: str, multi: tuple[int, ...]) -> "Poly":
         """D^multi / multi! in one family (exact binomial coefficients)."""
         slot = _SLOT[family]
+        # Subtracting a fixed multi-index keeps distinct keys distinct.
         terms = {}
         for key, coeff in self.terms.items():
             exps = key[slot]
@@ -266,9 +268,8 @@ class Poly:
                 continue
             new_key = list(key)
             new_key[slot] = tuple(new)
-            new_key = tuple(new_key)
-            terms[new_key] = terms.get(new_key, 0) + coeff * factor
-        return Poly(self.n, terms)
+            terms[tuple(new_key)] = coeff * factor
+        return Poly._trusted(self.n, terms)
 
     # ------------------------------------------------------------------
     # family structure
@@ -292,7 +293,7 @@ class Poly:
         for key, coeff in self.terms.items():
             d = sum(key[1]) + sum(key[2])
             buckets.setdefault(d, {})[key] = coeff
-        return {d: Poly(self.n, t) for d, t in sorted(buckets.items())}
+        return {d: Poly._trusted(self.n, t) for d, t in sorted(buckets.items())}
 
     def bidegree_parts(self) -> dict[tuple[int, int], "Poly"]:
         """Split by (a-degree, b-degree)."""
@@ -300,7 +301,7 @@ class Poly:
         for key, coeff in self.terms.items():
             d = (sum(key[1]), sum(key[2]))
             buckets.setdefault(d, {})[key] = coeff
-        return {d: Poly(self.n, t) for d, t in sorted(buckets.items())}
+        return {d: Poly._trusted(self.n, t) for d, t in sorted(buckets.items())}
 
     def euler(self, family: str) -> "Poly":
         """Sum_i v_i D_{v_i} over one family: scales each term by its degree."""
@@ -310,7 +311,7 @@ class Poly:
             d = sum(key[slot])
             if d:
                 terms[key] = coeff * d
-        return Poly(self.n, terms)
+        return Poly._trusted(self.n, terms)
 
     def eta_contract(self, family: str) -> "Poly":
         """Sum_i d/dx_i D_{v_i}: one x-derivative paired with one fiber
@@ -325,7 +326,8 @@ class Poly:
 
     def swap_fibers(self) -> "Poly":
         """Exchange the a and b families."""
-        return Poly(self.n, {(xa, ba, aa): c for (xa, aa, ba), c in self.terms.items()})
+        return Poly._trusted(
+            self.n, {(xa, ba, aa): c for (xa, aa, ba), c in self.terms.items()})
 
     def fiber_sum_expand(self) -> "Poly":
         """Substitute a_i -> a_i + b_i (polarization helper).
@@ -348,7 +350,8 @@ class Poly:
         """Rename the a family to b.  Input must be b-free."""
         if self.degree(BETA) > 0:
             raise ValueError("move_alpha_to_beta expects a b-free polynomial")
-        return Poly(self.n, {(xa, ba, aa): c for (xa, aa, ba), c in self.terms.items()})
+        return Poly._trusted(
+            self.n, {(xa, ba, aa): c for (xa, aa, ba), c in self.terms.items()})
 
 
 def multi_indices(n: int, order: int):

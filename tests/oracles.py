@@ -9,19 +9,28 @@ forms: the symbol Casimir as a sum of second derivatives in the fiber
 variables, and each isotypic projector as a Lagrange product of Casimir
 applications to the whole x-dependent body.
 
+The reference degree-lowering correction is the engine's former
+composition of whole-body `eta_contract`, `euler` and scaling.
+
 The reference resonance scans are the engine's former hand-written nests
 over (i, p, j, q), with the label rule written out and every shift taken
 from the checked `resonant_delta`.
+
+`parse_reference` is the engine's former recursive-descent parser, which
+re-lexed the text on every peek and built every factor as a Poly.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import sympy
 
 from projquant.casimir import casimir_eigenvalue
 from projquant.densities import Context, SymbolPoly
 from projquant.isotypic import labels_for_degree
-from projquant.poly import Poly
+from projquant.parsing import ParseError
+from projquant.poly import ALPHA, BETA, Poly, X
 from projquant.resonance import ResonanceTuple, is_critical, resonant_delta
 
 
@@ -66,6 +75,20 @@ def ct_body_reference(body: Poly, ctx: Context) -> Poly:
                     cross = body.diff(fam_l, i).diff(fam_k, j)
                     straight = body.diff(fam_l, j).diff(fam_k, i)
                     out = out + xi_k_i * xi_l_j * (cross + straight)
+    return out
+
+
+def nc_body_reference(body: Poly, ctx: Context) -> Poly:
+    """Degree-lowering correction through whole-body Poly operations: for
+    each fiber family, 2 (Euler + (n+1) weight) applied to eta_contract."""
+    n = ctx.n
+    out = Poly.zero(n)
+    for fam, lam in zip(ctx.fiber_families(), ctx.weights):
+        contracted = body.eta_contract(fam)
+        if contracted.is_zero():
+            continue
+        piece = contracted.euler(fam) + ((n + 1) * lam) * contracted
+        out = out + 2 * piece
     return out
 
 
@@ -138,3 +161,139 @@ def critical_values_reference(n: int, lo, hi) -> list:
             if lo <= d <= hi:
                 grouped.setdefault(d, []).append(ResonanceTuple(i, p, j, q, d, True))
     return sorted(grouped.items())
+
+
+# ----------------------------------------------------------------------
+# the former parser
+
+
+_VAR_LETTERS = {"x": X, "a": ALPHA, "b": BETA}
+
+
+class _Tokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        text, i = self.text, self.pos
+        while i < len(text) and text[i].isspace():
+            i += 1
+        self.pos = i
+        if i >= len(text):
+            return ("end", None, i)
+        ch = text[i]
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            return ("int", text[i:j], i)
+        if ch in _VAR_LETTERS:
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError(f"variable '{ch}' needs an index", i)
+            return ("var", text[i:j], i)
+        if ch in "+-*^()/":
+            return (ch, ch, i)
+        raise ParseError(f"unexpected character {ch!r}", i)
+
+    def next(self):
+        kind, value, pos = self.peek()
+        if kind == "int" or kind == "var":
+            self.pos = pos + len(value)
+        elif kind != "end":
+            self.pos = pos + 1
+        return (kind, value, pos)
+
+
+class _Parser:
+    def __init__(self, text: str, n: int):
+        self.tok = _Tokenizer(text)
+        self.n = n
+
+    def parse(self) -> Poly:
+        result = self.expr()
+        kind, _, pos = self.tok.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {kind!r}", pos)
+        return result
+
+    def expr(self) -> Poly:
+        # Summands accumulate into one term map: adding Poly values one by
+        # one would copy the running sum for every summand.
+        terms: dict = {}
+        negate = False
+        while True:
+            for key, coeff in self.term().terms.items():
+                terms[key] = terms.get(key, 0) + (-coeff if negate else coeff)
+            kind, _, _ = self.tok.peek()
+            if kind not in ("+", "-"):
+                return Poly(self.n, terms)
+            self.tok.next()
+            negate = kind == "-"
+
+    def term(self) -> Poly:
+        value = self.prefix()
+        while True:
+            kind, _, _ = self.tok.peek()
+            if kind == "*":
+                self.tok.next()
+                value = value * self.prefix()
+            else:
+                return value
+
+    def prefix(self) -> Poly:
+        kind, _, _ = self.tok.peek()
+        if kind == "-":
+            self.tok.next()
+            return -self.prefix()
+        return self.power()
+
+    def power(self) -> Poly:
+        base = self.atom()
+        kind, _, _ = self.tok.peek()
+        if kind == "^":
+            self.tok.next()
+            kind, value, pos = self.tok.next()
+            if kind != "int":
+                raise ParseError("exponent must be a non-negative integer", pos)
+            return base ** int(value)
+        return base
+
+    def atom(self) -> Poly:
+        kind, value, pos = self.tok.next()
+        if kind == "int":
+            numer = int(value)
+            kind2, _, _ = self.tok.peek()
+            if kind2 == "/":
+                self.tok.next()
+                kind3, value3, pos3 = self.tok.next()
+                if kind3 != "int":
+                    raise ParseError("denominator must be an integer", pos3)
+                denom = int(value3)
+                if denom == 0:
+                    raise ParseError("zero denominator", pos3)
+                return Poly.constant(self.n, Fraction(numer, denom))
+            return Poly.constant(self.n, numer)
+        if kind == "var":
+            family = _VAR_LETTERS[value[0]]
+            index = int(value[1:])
+            if not 1 <= index <= self.n:
+                raise ParseError(
+                    f"variable index out of range: {value} with n={self.n}", pos)
+            return Poly.variable(self.n, family, index)
+        if kind == "(":
+            inner = self.expr()
+            kind2, _, pos2 = self.tok.next()
+            if kind2 != ")":
+                raise ParseError("expected ')'", pos2)
+            return inner
+        raise ParseError(f"unexpected {kind!r}", pos)
+
+
+def parse_reference(text: str, n: int) -> Poly:
+    """The former recursive-descent parse_poly: re-lexes on every peek and
+    builds every factor as a Poly."""
+    return _Parser(text, n).parse()

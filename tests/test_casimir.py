@@ -20,8 +20,10 @@ from projquant.densities import (BidiffOp, Context, SymbolPoly, VectorField,
 from projquant.isotypic import decompose
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
-from projquant.sampling import random_operator, random_x_poly
+from projquant.sampling import random_body, random_operator, random_x_poly
 from projquant.slbasis import basis_fields, sl_basis
+
+from oracles import nc_body_reference
 
 
 def ctx_d(n, delta, lam1=Fraction(0), lam2=Fraction(0)):
@@ -107,6 +109,24 @@ def test_correction_examples():
     # x1 b1 with lam2 = 0 dies on the weight factor
     op = BidiffOp(parse_poly("x1*b1", n), ctx)
     assert casimir_correction(op).body.is_zero()
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_correction_matches_whole_body_reference(n, arity):
+    """The one-pass correction equals eta_contract, Euler and scaling
+    composed on whole bodies.  The first weight is -1/(n+1), so the factor
+    |u| - 1 + (n+1) lam vanishes on the a-monomials of degree two."""
+    rng = random.Random(10 * n + arity)
+    weights = (Fraction(-1, n + 1), Fraction(2, 7))[:arity]
+    ctx = Context(n, weights, Fraction(1, 3))
+    for _ in range(4):
+        body = random_body(rng, n, 5, 3, arity, terms=12)
+        one_pass = casimir_correction(BidiffOp(body, ctx)).body
+        assert one_pass == nc_body_reference(body, ctx)
+    vanishing = parse_poly("x1*a1^2", n)
+    assert nc_body_reference(vanishing, ctx).is_zero()
+    assert casimir_correction(BidiffOp(vanishing, ctx)).body.is_zero()
 
 
 def test_correction_lowers_degree_by_one():

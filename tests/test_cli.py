@@ -1,10 +1,18 @@
 """Command-line surface: output schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from projquant.cli import SCAN_ORDER_LIMIT, main, parse_rational, UsageError
+from projquant.cli import (SCAN_ORDER_LIMIT, VERIFY_ORDER_LIMIT, main,
+                           parse_rational, UsageError)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -179,3 +187,44 @@ def test_scan_limit(capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: scan limit")
+
+
+def test_verify_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "resonance", "--n", "2",
+                       "--max-order", str(VERIFY_ORDER_LIMIT), "--json")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+    for order in (VERIFY_ORDER_LIMIT + 1, 60, -1):
+        code, out, err = run(capsys, "verify", "--suite", "resonance", "--n", "3",
+                             "--max-order", str(order))
+        assert code == 1, order
+        assert out == ""
+        assert err.startswith("error: verify limit")
+
+
+def test_parse_limit(capsys):
+    """Powers whose expansion would run for minutes are rejected at the '^'
+    before any work; a moderate power still parses."""
+    for expr, caret in (("(x1+a1)^99999999", 7), ("(x1+a1+b1)^300", 10)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quantize", "--n", "1", "--lambda1", "0",
+                             "--lambda2", "0", "--mu", "1/3", expr)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: power too large")
+        assert err.rstrip().endswith(f"(at position {caret})")
+    code, out, _ = run(capsys, "symbol", "--n", "1", "--lambda1", "0",
+                       "--lambda2", "0", "--mu", "1/3", "(x1+a1)^20")
+    assert code == 0
+    assert json.loads(out)["input"].startswith("a1^20 + 20*x1*a1^19")
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["quantize", "--n", "2", "--lambda1", "1/3", "--lambda2", "0",
+            "--mu", "5/6", "x1*a1"]
+    code, out, _ = run(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "projquant", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
