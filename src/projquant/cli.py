@@ -39,6 +39,11 @@ SCAN_ORDER_LIMIT = 64
 # and 19 s at 12.
 VERIFY_ORDER_LIMIT = 8
 
+# Highest --n that verify accepts.  At the default order 3 the slowest suite,
+# casimir, took 1.4 s at n=5 and 4.2 s at n=6; at order 8 equivariance took
+# 1.3 s at n=5 and 9.7 s at n=6.
+VERIFY_DIM_LIMIT = 5
+
 
 class UsageError(Exception):
     pass
@@ -109,7 +114,9 @@ def _check_order(max_order: int) -> None:
         raise UsageError(f"scan limit: --max-order must be in 0..{SCAN_ORDER_LIMIT}")
 
 
-def _check_verify_order(max_order: int) -> None:
+def _check_verify_size(n: int, max_order: int) -> None:
+    if n > VERIFY_DIM_LIMIT:
+        raise UsageError(f"verify limit: --n must be at most {VERIFY_DIM_LIMIT}")
     if not 0 <= max_order <= VERIFY_ORDER_LIMIT:
         raise UsageError(
             f"verify limit: --max-order must be in 0..{VERIFY_ORDER_LIMIT}")
@@ -210,7 +217,7 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_verify_order(args.max_order)
+    _check_verify_size(args.n, args.max_order)
     try:
         checks = run_suite(args.suite, args.n, args.seed, args.max_order)
     except KeyError as err:

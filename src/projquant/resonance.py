@@ -18,6 +18,7 @@ tuple (7,3;6,0)).  The command line caps scans at `cli.SCAN_ORDER_LIMIT`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -82,11 +83,20 @@ def critical_lower_bound(n: int, i: int) -> Fraction:
 
 
 def critical_bound_index(n: int, delta) -> int:
-    """Smallest degree beyond which no critical tuple can reach this shift."""
+    """Smallest degree beyond which no critical tuple can reach this shift.
+
+    That is the least i >= 1 with critical_lower_bound(n, i) > delta.  In
+    dimension one the bound is (i+1)/2.  Otherwise it is
+    E(i) = ((3/4)i + n - 1/2)/(n+1) at even i, and E(i) + 3/(4(n+1)i) at odd
+    i, so E(i) <= bound(i) <= E(i+1): the least i with E(i) > delta is the
+    answer or one above it, and one exact comparison tells which."""
     d = as_fraction(delta)
-    i = 1
-    while critical_lower_bound(n, i) <= d:
-        i += 1
+    tableau_labels(n, 0)  # rejects dimensions n < 1
+    if n == 1:
+        return max(1, math.floor(2 * d - 1) + 1)
+    i = max(1, math.floor(Fraction(4, 3) * ((n + 1) * d - n + Fraction(1, 2))) + 1)
+    if i > 1 and critical_lower_bound(n, i - 1) > d:
+        i -= 1
     return i
 
 

@@ -5,6 +5,11 @@ quadratic fields eps_i whose i-th component is x_i * x_l in slot l.  Each
 basis element is listed together with its dual partner for the fixed
 invariant pairing; the Casimir computations depend on this normalization,
 so the duality is hard-coded rather than recomputed from a bilinear form.
+
+Span membership needs no elimination: the basis is almost in echelon form,
+so `span_decompose` reads every coefficient off one coordinate of the field
+(the diagonal fields through the inverse of an n x n block), then proves
+membership with one exact residual check, sum(c * element) == field.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import VectorField, bracket
-from .poly import Poly, X, multi_indices
+from .poly import DimensionMismatchError, Poly, X
 
 
 @dataclass(frozen=True)
@@ -93,76 +98,75 @@ def basis_fields(n: int) -> tuple[tuple[str, VectorField], ...]:
 # exact span membership
 
 
-def _field_coordinates(field: VectorField, coords: list) -> list[Fraction]:
-    vec = []
-    for slot, key in coords:
-        vec.append(field.components[slot].terms.get(key, Fraction(0)))
-    return vec
+def _read_off(field: VectorField) -> dict[str, Fraction]:
+    """The only coefficients that can express the field in the basis.
 
-
-def _coordinate_index(n: int, max_degree: int) -> list:
+    Each non-diagonal basis element is the only one reaching one coordinate:
+    e_i the constant of slot i, e_i_j the x_j of slot i, eps_i the x_i^2 of
+    slot i.  The diagonal fields all reach the x_k of slot k, y_k = -c_kk -
+    sum(c), which the inverse of -(I + J) solves as c_kk = -y_k + sum(y)/(n+1).
+    """
+    n = field.n
     zero = (0,) * n
-    keys = []
-    for order in range(max_degree + 1):
-        for m in multi_indices(n, order):
-            keys.append((m, zero, zero))
-    return [(slot, key) for slot in range(n) for key in keys]
+
+    def coordinate(slot: int, *xs: int) -> Fraction:
+        """Coefficient of the product of the x_xs in the given slot."""
+        exps = [0] * n
+        for x in xs:
+            exps[x - 1] += 1
+        return field.components[slot - 1].terms.get(
+            (tuple(exps), zero, zero), Fraction(0))
+
+    coeffs = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                coeffs[f"e_{i}_{j}"] = -coordinate(i, j)
+    y = [coordinate(k, k) for k in range(1, n + 1)]
+    mean = sum(y, Fraction(0)) / (n + 1)
+    for k in range(1, n + 1):
+        coeffs[f"e_{k}_{k}"] = mean - y[k - 1]
+    for i in range(1, n + 1):
+        coeffs[f"e_{i}"] = -coordinate(i)
+        coeffs[f"eps_{i}"] = coordinate(i, i, i)  # x_i^2 in slot i
+    return coeffs
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve matrix @ c = rhs over the rationals; None when inconsistent.
-
-    Columns are basis fields, rows are monomial coordinates."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((k for k in range(r, rows) if aug[k][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for k in range(rows):
-            if k != r and aug[k][c] != 0:
-                factor = aug[k][c]
-                aug[k] = [vk - factor * vr for vk, vr in zip(aug[k], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for k in range(r, rows):
-        if aug[k][cols] != 0:
+def _decompose_in(field: VectorField, pairs: tuple[DualBasisPair, ...]):
+    """`span_decompose` against a basis built once by the caller."""
+    coeffs = _read_off(field)
+    nonzero = [(pair, coeffs[pair.label]) for pair in pairs
+               if coeffs[pair.label] != 0]
+    for slot, component in enumerate(field.components):
+        total: dict = {}
+        for pair, c in nonzero:
+            for key, value in pair.element.components[slot].terms.items():
+                total[key] = total.get(key, 0) + c * value
+        if {key: v for key, v in total.items() if v} != component.terms:
             return None
-    solution = [Fraction(0)] * cols
-    for row, c in enumerate(pivot_cols):
-        solution[c] = aug[row][cols]
-    return solution
+    return {pair.label: c for pair, c in nonzero}
 
 
 def span_decompose(field: VectorField, n: int):
-    """Exact coefficients of a field in the basis; None if not in the span."""
+    """Exact coefficients of a field in the basis; None if not in the span.
+
+    The coefficients are read off the coordinates each basis element pins
+    down, and one exact residual check, sum(c * element) == field slot by
+    slot, decides membership."""
     pairs = sl_basis(n)
-    coords = _coordinate_index(n, max(2, field.x_degree()))
-    matrix_cols = [_field_coordinates(p.element, coords) for p in pairs]
-    matrix = [[matrix_cols[c][r] for c in range(len(pairs))]
-              for r in range(len(coords))]
-    rhs = _field_coordinates(field, coords)
-    solution = _solve_exact(matrix, rhs)
-    if solution is None:
-        return None
-    return {pairs[k].label: coeff for k, coeff in enumerate(solution) if coeff != 0}
+    if field.n != n:
+        raise DimensionMismatchError(
+            f"field of dimension {field.n} against the sl({n + 1}) basis")
+    return _decompose_in(field, pairs)
 
 
 def bracket_closure_check(n: int):
     """Verify every pairwise bracket of basis elements stays in the span.
 
     Returns (True, None) on success, else (False, (label_a, label_b))."""
-    fields = basis_fields(n)
-    for label_a, a in fields:
-        for label_b, b in fields:
-            if span_decompose(bracket(a, b), n) is None:
-                return False, (label_a, label_b)
+    pairs = sl_basis(n)
+    for a in pairs:
+        for b in pairs:
+            if _decompose_in(bracket(a.element, b.element), pairs) is None:
+                return False, (a.label, b.label)
     return True, None

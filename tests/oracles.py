@@ -18,6 +18,9 @@ from the checked `resonant_delta`.
 
 `parse_reference` is the engine's former recursive-descent parser, which
 re-lexed the text on every peek and built every factor as a Poly.
+
+`span_decompose_reference` is the engine's former span membership test: a
+dense Gaussian elimination over the monomial coordinates of every basis field.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from projquant.casimir import casimir_eigenvalue
 from projquant.densities import Context, SymbolPoly
 from projquant.isotypic import labels_for_degree
 from projquant.parsing import ParseError
-from projquant.poly import ALPHA, BETA, Poly, X
+from projquant.slbasis import sl_basis
+from projquant.poly import ALPHA, BETA, Poly, X, multi_indices
 from projquant.resonance import ResonanceTuple, is_critical, resonant_delta
 
 
@@ -297,3 +301,66 @@ def parse_reference(text: str, n: int) -> Poly:
     """The former recursive-descent parse_poly: re-lexes on every peek and
     builds every factor as a Poly."""
     return _Parser(text, n).parse()
+
+
+# ----------------------------------------------------------------------
+# the former span decomposition
+
+
+def _coordinate_index(n: int, max_degree: int) -> list:
+    zero = (0,) * n
+    keys = [(m, zero, zero) for order in range(max_degree + 1)
+            for m in multi_indices(n, order)]
+    return [(slot, key) for slot in range(n) for key in keys]
+
+
+def _field_coordinates(field, coords: list) -> list[Fraction]:
+    return [field.components[slot].terms.get(key, Fraction(0))
+            for slot, key in coords]
+
+
+def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]):
+    """Solve matrix @ c = rhs over the rationals; None when inconsistent.
+
+    Columns are basis fields, rows are monomial coordinates."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [list(matrix[r]) + [rhs[r]] for r in range(rows)]
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((k for k in range(r, rows) if aug[k][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = Fraction(1) / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for k in range(rows):
+            if k != r and aug[k][c] != 0:
+                factor = aug[k][c]
+                aug[k] = [vk - factor * vr for vk, vr in zip(aug[k], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for k in range(r, rows):
+        if aug[k][cols] != 0:
+            return None
+    solution = [Fraction(0)] * cols
+    for row, c in enumerate(pivot_cols):
+        solution[c] = aug[row][cols]
+    return solution
+
+
+def span_decompose_reference(field, n: int):
+    """Coefficients of a field in the basis by Gaussian elimination; None
+    if not in the span."""
+    pairs = sl_basis(n)
+    coords = _coordinate_index(n, max(2, field.x_degree()))
+    matrix_cols = [_field_coordinates(p.element, coords) for p in pairs]
+    matrix = [[matrix_cols[c][r] for c in range(len(pairs))]
+              for r in range(len(coords))]
+    solution = _solve_exact(matrix, _field_coordinates(field, coords))
+    if solution is None:
+        return None
+    return {pairs[k].label: coeff for k, coeff in enumerate(solution) if coeff != 0}

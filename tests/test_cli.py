@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from projquant.cli import (SCAN_ORDER_LIMIT, VERIFY_ORDER_LIMIT, main,
-                           parse_rational, UsageError)
+from projquant.cli import (SCAN_ORDER_LIMIT, VERIFY_DIM_LIMIT,
+                           VERIFY_ORDER_LIMIT, main, parse_rational, UsageError)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -200,6 +200,23 @@ def test_verify_limit(capsys):
         assert code == 1, order
         assert out == ""
         assert err.startswith("error: verify limit")
+
+
+def test_verify_dimension_limit(capsys):
+    """The spectrum suite's bracket closure check is the part that grows
+    fastest with n; it still passes at the limit.  Dimensions below one keep
+    their own message (test_dimension_below_one_exit_one)."""
+    code, out, _ = run(capsys, "verify", "--suite", "spectrum", "--n",
+                       str(VERIFY_DIM_LIMIT), "--json")
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+    for n in (VERIFY_DIM_LIMIT + 1, 100):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "spectrum", "--n", str(n))
+        assert code == 1, n
+        assert out == ""
+        assert err.startswith("error: verify limit: --n")
+        assert time.perf_counter() - start < 1
 
 
 def test_parse_limit(capsys):

@@ -16,8 +16,8 @@ from projquant.resonance import (classify_shift, critical_bound_index,
                                  label_pairs, one_dimensional_resonances,
                                  resonant_delta)
 
-from oracles import (classify_reference, critical_values_reference,
-                     label_pairs_reference)
+from oracles import (bound_index_reference, classify_reference,
+                     critical_values_reference, label_pairs_reference)
 
 
 def _labels(n, i):
@@ -107,6 +107,20 @@ def test_bound_index_examples():
     assert critical_bound_index(2, Fraction(-5)) == 1
     assert critical_bound_index(2, Fraction(1)) == 3
     assert critical_bound_index(2, Fraction(5, 3)) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bound_index_matches_the_linear_scan(n):
+    """Every bound value up to degree 64 is an equality boundary: the index
+    must step exactly there, and not 1/1000 to either side."""
+    shifts = []
+    for i in range(1, 65):
+        bound = critical_lower_bound(n, i)
+        shifts += [bound, bound - Fraction(1, 1000), bound + Fraction(1, 1000)]
+    shifts += [Fraction(-7, 2), Fraction(0), Fraction(99, 7), Fraction(1000),
+               Fraction(10 ** 5)]
+    for delta in shifts:
+        assert critical_bound_index(n, delta) == bound_index_reference(n, delta), delta
 
 
 def test_classification_examples():

@@ -1,12 +1,14 @@
 """Structure of the projective algebra imbedding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from projquant.densities import bracket
+from oracles import span_decompose_reference
+from projquant.densities import VectorField, bracket
 from projquant.parsing import parse_poly
-from projquant.poly import X, Poly
+from projquant.poly import X, DimensionMismatchError, Poly
 from projquant.slbasis import (basis_fields, bracket_closure_check,
                                euler_field, sl_basis, span_decompose)
 
@@ -50,7 +52,7 @@ def test_grading_by_x_degree():
                 assert f.x_degree() == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bracket_closure(n):
     ok, witness = bracket_closure_check(n)
     assert ok, f"bracket left the span at {witness}"
@@ -66,9 +68,84 @@ def test_span_witness_for_constant_quadratic_bracket():
 def test_non_member_is_detected():
     n = 2
     cubic = parse_poly("x1^3", n)
-    from projquant.densities import VectorField
     bad = VectorField((cubic, Poly.zero(n)))
+    assert span_decompose_reference(bad, n) is None
     assert span_decompose(bad, n) is None
+
+
+def _field(n: int, *slots: str) -> VectorField:
+    return VectorField(tuple(parse_poly(text, n) for text in slots))
+
+
+def _scaled(c: Fraction, coeffs: dict) -> dict:
+    return {label: c * v for label, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_read_off_matches_elimination_on_every_bracket(n):
+    """One elimination per unordered pair: the reference is linear, so the
+    swapped bracket [b, a] = -[a, b] must decompose to the negated result."""
+    fields = basis_fields(n)
+    for k, (_, a) in enumerate(fields):
+        for _, b in fields[k:]:
+            field = bracket(a, b)
+            expected = span_decompose_reference(field, n)
+            assert expected is not None
+            assert span_decompose(field, n) == expected
+            assert span_decompose(bracket(b, a), n) == _scaled(Fraction(-1), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_read_off_matches_elimination_on_random_combinations(n):
+    rng = random.Random(700 + n)
+    pairs = sl_basis(n)
+    for _ in range(12):
+        coeffs = {}
+        for pair in rng.sample(pairs, rng.randint(1, len(pairs))):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            if c:
+                coeffs[pair.label] = c
+        elements = {pair.label: pair.element for pair in pairs}
+        field = VectorField(tuple(
+            sum((c * elements[label].components[slot]
+                 for label, c in coeffs.items()), Poly.zero(n))
+            for slot in range(n)))
+        result = span_decompose(field, n)
+        assert result == span_decompose_reference(field, n) == coeffs
+        assert list(result) == [p.label for p in pairs if p.label in coeffs]
+
+
+@pytest.mark.parametrize("n, slots", [
+    (3, ("0", "0", "x1*x2")),
+    # a linear field plus the slot-1 coordinate of eps_2, which no read-off
+    # looks at; only the residual check rejects it
+    (2, ("x1 + x1*x2", "x2")),
+    (3, ("x1 + x1*x2", "x2", "0")),
+    # eps_2 missing its slot-3 part
+    (3, ("x1*x2", "x2^2", "0")),
+])
+def test_non_members_are_rejected_by_both(n, slots):
+    field = _field(n, *slots)
+    assert span_decompose_reference(field, n) is None
+    assert span_decompose(field, n) is None
+
+
+def test_linear_fields_decompose_through_the_diagonal_block():
+    """x1 d1 + x2 d2 at n = 3 needs every diagonal field: the read-off solves
+    -(I + J) c = y with y = (1, 1, 0)."""
+    field = _field(3, "x1", "x2", "0")
+    expected = {"e_1_1": Fraction(-1, 2), "e_2_2": Fraction(-1, 2),
+                "e_3_3": Fraction(1, 2)}
+    assert span_decompose(field, 3) == span_decompose_reference(field, 3) == expected
+
+
+def test_dimension_mismatch_is_rejected():
+    eps_1_of_three = dict(basis_fields(3))["eps_1"]
+    with pytest.raises(DimensionMismatchError):
+        span_decompose(eps_1_of_three, 2)
+    eps_1_of_two = dict(basis_fields(2))["eps_1"]
+    with pytest.raises(DimensionMismatchError):
+        span_decompose(eps_1_of_two, 3)
 
 
 def test_euler_field_components():
