@@ -33,6 +33,14 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 # below 65/2 pass at n=1, below 33/2 at n=2 and below 101/8 at n=3.
 SCAN_ORDER_LIMIT = 64
 
+# Highest fiber degree that quantize and symbol accept: a backstop on the
+# degree only, since the cost also grows with n and the x-degree.  At n=3
+# the slowest x-free monomial found at degree 64,
+# a1^11*a2^11*a3^10*b1^10*b2^11*b3^11, took 4.3 s, and
+# a1^30*a2^30*b2^30*b3^30 (degree 120) took 33 s; at n=2 a1^64 takes
+# 0.02 s and a1^800 3.2 s.
+SOLVE_DEGREE_LIMIT = 64
+
 # Highest --max-order that verify accepts.  The suites size their random
 # operators, and the resonance suite its label-pair walk, by this order.  At
 # n=3 the slowest suite, equivariance, took 1.7 s at order 8, 4.2 s at 10
@@ -188,6 +196,9 @@ def _solve(args, solver, result_key: str) -> int:
     print the result, or the obstruction with exit code 2."""
     ctx = _context_from(args)
     body = parse_poly(args.expr, args.n)
+    if body.fiber_degree() > SOLVE_DEGREE_LIMIT:
+        raise UsageError(f"solve limit: the fiber degree must be at most "
+                         f"{SOLVE_DEGREE_LIMIT}, got {body.fiber_degree()}")
     try:
         result = solver(body, ctx)
     except ObstructionError as err:

@@ -13,17 +13,31 @@ The operator Lie derivative is implemented in closed polynomial form: pairing
 the body with a vector field X expands a finite Taylor series in which each
 fiber shift of order m contributes the m-th x-derivative of a component of X.
 The series stops at the x-degree of X, so every polynomial field is handled
-exactly.  The defining composition form (act, then subtract the action on
-each argument) is kept as `lie_derivative_via_definition` and serves as an
-independent oracle in the tests.
+exactly.  The symbol Lie derivative is the same series cut at first-order
+shifts, without the weight terms.  The defining composition form (act, then
+subtract the action on each argument) is kept as
+`lie_derivative_via_definition` and serves as an independent oracle in the
+tests.
+
+The Lie derivatives, `apply_operator` and `bracket` are one-pass integer
+kernels: one pass over the input's terms into one accumulator dict, with no
+intermediate Poly.  Each call carries integer numerators over one
+denominator, the lcm of the body's denominators times the field's times
+those of the weights and shift, and builds Fractions only for the returned
+Poly.  Field derivatives are read off the field's raw terms,
+D^m x^e = perm(e, m) x^(e - m), and the image of each distinct x-monomial,
+fiber monomial or derivative multi-index is built once per call.  The
+former Poly-chain forms are the references of the test suite's oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, lcm, perm
 
-from .poly import ALPHA, BETA, X, DimensionMismatchError, Poly, as_fraction, multi_indices
+from .poly import ALPHA, BETA, X, DimensionMismatchError, Poly, as_fraction
 
 
 class ArityError(ValueError):
@@ -176,6 +190,176 @@ class BidiffOp:
 
 
 # ----------------------------------------------------------------------
+# integer kernels
+
+
+def _numerators(coeffs: dict) -> tuple[dict, int]:
+    """The Fraction values as integer numerators over the lcm of their
+    denominators."""
+    den = lcm(1, *(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (den // c.denominator)
+            for key, c in coeffs.items()}, den
+
+
+def _field_numerators(field: VectorField) -> tuple[list[dict], int]:
+    """Each component as {x exponents: integer numerator}, all over one
+    denominator."""
+    nums, den = _numerators({(slot, key[0]): c
+                             for slot, comp in enumerate(field.components)
+                             for key, c in comp.terms.items()})
+    comps = [{} for _ in field.components]
+    for (slot, xa), c in nums.items():
+        comps[slot][xa] = c
+    return comps, den
+
+
+def _poly(n: int, acc: dict, den: int) -> Poly:
+    """The Poly whose coefficients are acc's numerators over den."""
+    return Poly._trusted(n, {key: Fraction(c, den)
+                             for key, c in acc.items() if c})
+
+
+def _x_poly(n: int, acc: dict, den: int) -> Poly:
+    """`_poly` for an accumulator keyed by x exponents alone."""
+    zero = (0,) * n
+    return _poly(n, {(xa, zero, zero): c for xa, c in acc.items()}, den)
+
+
+def _derivative(terms: dict, m: tuple[int, ...]) -> dict:
+    """D^m of {x exponents: coefficient}, read off the raw terms:
+    x^e maps to prod_k perm(e_k, m_k) x^(e - m)."""
+    out = {}
+    for e, c in terms.items():
+        factor = 1
+        for ek, mk in zip(e, m):
+            if ek < mk:
+                break
+            if mk:
+                factor *= perm(ek, mk)
+        else:
+            # Subtracting a fixed multi-index keeps distinct keys distinct.
+            out[tuple([ek - mk for ek, mk in zip(e, m)])] = c * factor
+    return out
+
+
+def _divergence(comps: list[dict]) -> dict:
+    n = len(comps)
+    out: dict = {}
+    for i, comp in enumerate(comps):
+        unit = tuple(int(k == i) for k in range(n))
+        for e, c in _derivative(comp, unit).items():
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+def _pairing_derivative(comps: list[dict], div: dict, xa: tuple[int, ...],
+                        scale: int, weight: int) -> dict:
+    """The density action on one coefficient monomial, as {x exponents:
+    integer}: <X, eta> x^xa = sum_i xa_i X_i x^(xa - e_i) times scale, plus
+    div(X) x^xa times weight."""
+    out: dict = {}
+    for i, s in enumerate(xa):
+        if not s:
+            continue
+        lowered = list(xa)
+        lowered[i] -= 1
+        k = s * scale
+        for e, c in comps[i].items():
+            key = tuple([a + b for a, b in zip(lowered, e)])
+            out[key] = out.get(key, 0) + k * c
+    if weight:
+        for e, c in div.items():
+            key = tuple([a + b for a, b in zip(xa, e)])
+            out[key] = out.get(key, 0) + weight * c
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=4096)
+def _lowerings(u: tuple[int, ...], top: int) -> tuple[tuple[int, ...], ...]:
+    """The multi-indices m <= u with 1 <= |m| <= top."""
+    out = [()]
+    for uk in u:
+        out = [m + (j,) for m in out for j in range(min(uk, top - sum(m)) + 1)]
+    return tuple(m for m in out if any(m))
+
+
+def _fiber_image(comps: list[dict], u: tuple[int, ...], top: int,
+                 scale: int, lam: int) -> list:
+    """The fiber shifts of one fiber monomial u, as (x exponents, fiber
+    exponents, integer) with zero entries omitted.
+
+    The Taylor term of order m, 1 <= |m| <= top, pairs binom(u, m) with
+    -D^m X_l xi_l (times scale) and, for a nonzero weight, with
+    -D^(m + e_l) X_l (times lam).  Both derivatives are read off each term
+    c x^e of X_l: D^m x^e = perm(e, m) x^(e - m), nonzero for m <= e."""
+    out: dict = {}
+    for ell, comp in enumerate(comps):
+        for e, c in comp.items():
+            for m in _lowerings(tuple(map(min, u, e)), top):
+                coeff = -c
+                for uk, ek, mk in zip(u, e, m):
+                    if mk:
+                        coeff *= comb(uk, mk) * perm(ek, mk)
+                rest = [a - b for a, b in zip(u, m)]
+                lower = [a - b for a, b in zip(e, m)]
+                raised = list(rest)
+                raised[ell] += 1
+                key = (tuple(lower), tuple(raised))
+                out[key] = out.get(key, 0) + coeff * scale
+                if lam and lower[ell]:
+                    # D^(m + e_l) x^e = (e_l - m_l) D^m x^e lowered in x_l
+                    k = coeff * lower[ell] * lam
+                    lower[ell] -= 1
+                    key = (tuple(lower), tuple(rest))
+                    out[key] = out.get(key, 0) + k
+    return [(e, v, c) for (e, v), c in out.items() if c]
+
+
+def _lie_body(field: VectorField, body: Poly, ctx: Context, top: int,
+              weights: tuple[Fraction, ...]) -> Poly:
+    """Lie derivative of a body in one pass over its terms.
+
+    Each term x^s a^u b^v maps to the density action on x^s (weight the
+    shift) times a^u b^v, plus the fiber shifts of a^u and of b^v times x^s,
+    with Taylor orders up to top and the given per-family weights.  The
+    images of each distinct x^s and fiber monomial are built once."""
+    ctx.fiber_families()  # arity must be representable
+    n = ctx.n
+    comps, field_den = _field_numerators(field)
+    terms, den = _numerators(body.terms)
+    delta = ctx.delta
+    scale = lcm(delta.denominator, *(w.denominator for w in weights))
+    shift = delta.numerator * (scale // delta.denominator)
+    families = [(slot, lam.numerator * (scale // lam.denominator))
+                for slot, lam in zip((1, 2), weights)]
+    div = _divergence(comps)
+    x_images: dict = {}
+    fiber_images: dict = {}
+    acc: dict = {}
+    for (xa, aa, ba), c in terms.items():
+        image = x_images.get(xa)
+        if image is None:
+            image = x_images[xa] = _pairing_derivative(comps, div, xa,
+                                                       scale, shift)
+        for e, k in image.items():
+            key = (e, aa, ba)
+            acc[key] = acc.get(key, 0) + c * k
+        for slot, lam in families:
+            u = aa if slot == 1 else ba
+            if not any(u):
+                continue
+            image = fiber_images.get((slot, u))
+            if image is None:
+                image = fiber_images[(slot, u)] = _fiber_image(
+                    comps, u, top, scale, lam)
+            for e, v, k in image:
+                x2 = tuple([a + b for a, b in zip(xa, e)])
+                key = (x2, v, ba) if slot == 1 else (x2, aa, v)
+                acc[key] = acc.get(key, 0) + c * k
+    return _poly(n, acc, den * field_den * scale)
+
+
+# ----------------------------------------------------------------------
 # Lie derivatives
 
 
@@ -183,17 +367,24 @@ def lie_derivative_density(field: VectorField, phi: Density) -> Density:
     """Derivative along the field plus weight times divergence."""
     if field.n != phi.n:
         raise DimensionMismatchError("field and density dimensions differ")
-    out = Poly.zero(phi.n)
-    for i, comp in enumerate(field.components):
-        out = out + comp * phi.value.diff(X, i + 1)
-    out = out + phi.weight * field.divergence() * phi.value
-    return Density(out, phi.weight)
+    comps, field_den = _field_numerators(field)
+    terms, den = _numerators(phi.value.terms)
+    weight = phi.weight
+    div = _divergence(comps)
+    acc: dict = {}
+    for (xa, _, _), c in terms.items():
+        for e, k in _pairing_derivative(comps, div, xa, weight.denominator,
+                                        weight.numerator).items():
+            acc[e] = acc.get(e, 0) + c * k
+    return Density(_x_poly(phi.n, acc, den * field_den * weight.denominator),
+                   weight)
 
 
 def apply_operator(op: BidiffOp, *args: Density) -> Density:
     """Evaluate the operator on polynomial densities.
 
-    Each term x^s a^u b^v contributes x^s * D^u(arg1) * D^v(arg2)."""
+    Each term x^s a^u b^v contributes x^s * D^u(arg1) * D^v(arg2); each
+    distinct D^u of an argument is built once."""
     ctx = op.context
     if len(args) != ctx.arity:
         raise ArityError(f"expected {ctx.arity} arguments, got {len(args)}")
@@ -203,55 +394,35 @@ def apply_operator(op: BidiffOp, *args: Density) -> Density:
         if arg.weight != weight:
             raise WeightMismatchError(
                 f"argument weight {arg.weight} != context weight {weight}")
-    fams = ctx.fiber_families()
-    slots = {ALPHA: 0, BETA: 1}
-    out = Poly.zero(ctx.n)
-    for (xa, aa, ba), coeff in op.body.terms.items():
-        fiber_exps = (aa, ba)
-        piece = Poly(ctx.n, {(xa, (0,) * ctx.n, (0,) * ctx.n): coeff})
-        for fam in fams:
-            derived = args[slots[fam]].value.diff_multi(X, fiber_exps[slots[fam]])
-            piece = piece * derived
-            if piece.is_zero():
-                break
-        out = out + piece
-    return Density(out, ctx.mu)
-
-
-def _pairing_derivative(field: VectorField, body: Poly) -> Poly:
-    """<X, eta> body: derivatives hitting the coefficient part."""
-    out = Poly.zero(body.n)
-    for i, comp in enumerate(field.components):
-        step = body.diff(X, i + 1)
-        if step.is_zero():
-            continue
-        out = out + comp * step
-    return out
+    ctx.fiber_families()  # arity must be representable
+    terms, den = _numerators(op.body.terms)
+    factors = []
+    for arg in args:
+        nums, arg_den = _numerators({key[0]: c for key, c in arg.value.terms.items()})
+        factors.append((nums, {}))
+        den *= arg_den
+    acc: dict = {}
+    for (xa, *fibers), c in terms.items():
+        pieces = [(xa, c)]
+        for (nums, derived), u in zip(factors, fibers):
+            d = derived.get(u)
+            if d is None:
+                d = derived[u] = _derivative(nums, u)
+            pieces = [(tuple([a + b for a, b in zip(e1, e2)]), c1 * c2)
+                      for e1, c1 in pieces for e2, c2 in d.items()]
+        for e, k in pieces:
+            acc[e] = acc.get(e, 0) + k
+    return Density(_x_poly(ctx.n, acc, den), ctx.mu)
 
 
 def lie_derivative_symbol(field: VectorField, sym: SymbolPoly) -> SymbolPoly:
-    """Tensor-field Lie derivative in fiber coordinates."""
+    """Tensor-field Lie derivative in fiber coordinates: the operator action
+    cut at first-order fiber shifts, with no weight terms."""
     if field.n != sym.body.n:
         raise DimensionMismatchError("field and symbol dimensions differ")
     ctx = sym.context
-    body = sym.body
-    n = ctx.n
-    out = _pairing_derivative(field, body)
-    for fam in ctx.fiber_families():
-        if body.degree(fam) <= 0:
-            continue
-        for ell in range(n):
-            xi_l = Poly.variable(n, fam, ell + 1)
-            for k in range(n):
-                dX = field.components[ell].diff(X, k + 1)
-                if dX.is_zero():
-                    continue
-                step = body.diff(fam, k + 1)
-                if step.is_zero():
-                    continue
-                out = out - dX * xi_l * step
-    out = out + ctx.delta * field.divergence() * body
-    return SymbolPoly(out, ctx)
+    zero_weights = (Fraction(0),) * ctx.arity
+    return SymbolPoly(_lie_body(field, sym.body, ctx, 1, zero_weights), ctx)
 
 
 def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
@@ -260,37 +431,13 @@ def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
     For each fiber family the shifted-argument expansion is a finite Taylor
     series: the order-m fiber derivative of the body pairs with the m-th
     (or (m + 1)-th, for the weight part) x-derivatives of the components of
-    the field.
+    the field.  The series stops at the x-degree of the field.
     """
     if field.n != op.body.n:
         raise DimensionMismatchError("field and operator dimensions differ")
     ctx = op.context
-    body = op.body
-    n = ctx.n
-    out = _pairing_derivative(field, body)
-    max_order = max(field.x_degree(), 0)
-    for fam, lam in zip(ctx.fiber_families(), ctx.weights):
-        fam_degree = body.degree(fam)
-        if fam_degree <= 0:
-            continue
-        for order in range(1, min(max_order, fam_degree) + 1):
-            for m in multi_indices(n, order):
-                step = body.taylor_diff(fam, m)
-                if step.is_zero():
-                    continue
-                for ell in range(n):
-                    dX = field.components[ell].diff_multi(X, m)
-                    if not dX.is_zero():
-                        out = out - dX * Poly.variable(n, fam, ell + 1) * step
-                    if lam == 0:
-                        continue
-                    m_plus = list(m)
-                    m_plus[ell] += 1
-                    dX2 = field.components[ell].diff_multi(X, tuple(m_plus))
-                    if not dX2.is_zero():
-                        out = out - lam * dX2 * step
-    out = out + ctx.delta * field.divergence() * body
-    return BidiffOp(out, ctx)
+    top = max(field.x_degree(), 0)
+    return BidiffOp(_lie_body(field, op.body, ctx, top, ctx.weights), ctx)
 
 
 def lie_derivative_via_definition(field: VectorField, op: BidiffOp,
@@ -306,15 +453,26 @@ def lie_derivative_via_definition(field: VectorField, op: BidiffOp,
 
 
 def bracket(first: VectorField, second: VectorField) -> VectorField:
-    """Lie bracket of vector fields."""
+    """Lie bracket of vector fields: [X, Y]_i = X(Y_i) - Y(X_i), each
+    component accumulated in one dict from the images of its monomials."""
     if first.n != second.n:
         raise DimensionMismatchError("field dimensions differ")
     n = first.n
+    xs, x_den = _field_numerators(first)
+    ys, y_den = _field_numerators(second)
+    along_x: dict = {}
+    along_y: dict = {}
     comps = []
     for i in range(n):
-        out = Poly.zero(n)
-        for j in range(n):
-            out = out + first.components[j] * second.components[i].diff(X, j + 1)
-            out = out - second.components[j] * first.components[i].diff(X, j + 1)
-        comps.append(out)
+        acc: dict = {}
+        for along, field, target, sign in ((along_x, xs, ys[i], 1),
+                                           (along_y, ys, xs[i], -1)):
+            for e, c in target.items():
+                image = along.get(e)
+                if image is None:
+                    image = along[e] = _pairing_derivative(field, {}, e, 1, 0)
+                c *= sign
+                for key, k in image.items():
+                    acc[key] = acc.get(key, 0) + c * k
+        comps.append(_x_poly(n, acc, x_den * y_den))
     return VectorField(tuple(comps))

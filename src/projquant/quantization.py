@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .casimir import SpectralLabel, casimir_eigenvalue, _nc_body
+from .casimir import EigenvalueTable, SpectralLabel, _nc_body
 from .densities import ArityError, BidiffOp, Context, SymbolPoly
 from .isotypic import decompose_body, labels_for_degree
 from .poly import ALPHA, BETA, Poly, as_fraction
@@ -74,10 +74,11 @@ class SymbolMapResult:
 
 
 def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
-                       memo: dict, free_slots: set[SpectralLabel]) -> Poly:
+                       memo: dict, gammas: EigenvalueTable,
+                       free_slots: set[SpectralLabel]) -> Poly:
     """Solve the triangular system below one eigencomponent."""
-    n, delta = ctx.n, ctx.delta
-    gamma = casimir_eigenvalue(n, delta, label.i, label.p)
+    n = ctx.n
+    gamma = gammas[label]
     total = body
     current = body
     for j in range(label.i - 1, -1, -1):
@@ -85,7 +86,7 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
         parts = decompose_body(correction, j, ctx, memo)
         level = Poly.zero(n)
         for lab in labels_for_degree(ctx, j):
-            gap = gamma - casimir_eigenvalue(n, delta, lab.i, lab.p)
+            gap = gamma - gammas[lab]
             piece = parts.get(lab)
             if gap == 0:
                 if piece is None:
@@ -100,13 +101,15 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
 
 
 def _quantize_body(body: Poly, ctx: Context, memo: dict,
+                   gammas: EigenvalueTable,
                    free_slots: set[SpectralLabel]) -> Poly:
     """Prolong every isotypic component of a symbol body and sum."""
     ctx.fiber_families()  # arity must be representable
     total = Poly.zero(ctx.n)
     for degree, part in sorted(body.fiber_parts().items(), reverse=True):
         for label, piece in sorted(decompose_body(part, degree, ctx, memo).items()):
-            total = total + _prolong_component(piece, label, ctx, memo, free_slots)
+            total = total + _prolong_component(piece, label, ctx, memo, gammas,
+                                               free_slots)
     return total
 
 
@@ -115,25 +118,28 @@ def quantize(sym: SymbolPoly) -> QuantizationResult:
 
     Sources of different degrees and labels are processed independently and
     summed; the principal part of the result equals the input.  One
-    projection memo serves the whole call."""
+    projection memo and one eigenvalue table serve the whole call."""
+    ctx = sym.context
     free_slots: set[SpectralLabel] = set()
-    total = _quantize_body(sym.body, sym.context, {}, free_slots)
+    total = _quantize_body(sym.body, ctx, {}, EigenvalueTable(ctx.n, ctx.delta),
+                           free_slots)
     return QuantizationResult(BidiffOp(total, sym.context), frozenset(free_slots))
 
 
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
     """Inverse of quantize, by principal-part peeling; every peeling step
-    shares one projection memo."""
+    shares one projection memo and one eigenvalue table."""
     ctx = op.context
     remaining = op.body
     collected = Poly.zero(ctx.n)
     free_slots: set[SpectralLabel] = set()
     memo: dict = {}
+    gammas = EigenvalueTable(ctx.n, ctx.delta)
     while not remaining.is_zero():
         degree = remaining.fiber_degree()
         top = remaining.fiber_parts()[degree]
         collected = collected + top
-        remaining = remaining - _quantize_body(top, ctx, memo, free_slots)
+        remaining = remaining - _quantize_body(top, ctx, memo, gammas, free_slots)
         if not remaining.is_zero() and remaining.fiber_degree() >= degree:
             raise AssertionError("peeling failed to lower the order")
     return SymbolMapResult(SymbolPoly(collected, ctx), frozenset(free_slots))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .densities import VectorField, bracket
 from .poly import DimensionMismatchError, Poly, X
@@ -70,8 +71,12 @@ def euler_field(n: int) -> VectorField:
     return VectorField(tuple(Poly.variable(n, X, k + 1) for k in range(n)))
 
 
+@lru_cache(maxsize=16)
 def sl_basis(n: int) -> tuple[DualBasisPair, ...]:
-    """All n^2 + 2n dual pairs; the elements alone form the basis."""
+    """All n^2 + 2n dual pairs; the elements alone form the basis.
+
+    Built once per n: the tuple of frozen pairs is never mutated, so every
+    caller shares it."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     pairs = []
@@ -97,6 +102,8 @@ def basis_fields(n: int) -> tuple[tuple[str, VectorField], ...]:
 # ----------------------------------------------------------------------
 # exact span membership
 
+_ZERO = Fraction(0)
+
 
 def _read_off(field: VectorField) -> dict[str, Fraction]:
     """The only coefficients that can express the field in the basis.
@@ -115,7 +122,7 @@ def _read_off(field: VectorField) -> dict[str, Fraction]:
         for x in xs:
             exps[x - 1] += 1
         return field.components[slot - 1].terms.get(
-            (tuple(exps), zero, zero), Fraction(0))
+            (tuple(exps), zero, zero), _ZERO)
 
     coeffs = {}
     for i in range(1, n + 1):

@@ -21,6 +21,11 @@ re-lexed the text on every peek and built every factor as a Poly.
 
 `span_decompose_reference` is the engine's former span membership test: a
 dense Gaussian elimination over the monomial coordinates of every basis field.
+
+The reference Lie derivatives, operator application and bracket are the
+engine's former Poly chains: every step of every sum is a whole-Poly
+product or difference, and each field derivative D^m X_l is an iterated
+`diff_multi`.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from fractions import Fraction
 import sympy
 
 from projquant.casimir import casimir_eigenvalue
-from projquant.densities import Context, SymbolPoly
+from projquant.densities import (ArityError, BidiffOp, Context, Density,
+                                 SymbolPoly, VectorField, WeightMismatchError)
 from projquant.isotypic import labels_for_degree
 from projquant.parsing import ParseError
 from projquant.slbasis import sl_basis
-from projquant.poly import ALPHA, BETA, Poly, X, multi_indices
+from projquant.poly import (ALPHA, BETA, DimensionMismatchError, Poly, X,
+                            multi_indices)
 from projquant.resonance import ResonanceTuple, is_critical, resonant_delta
 
 
@@ -364,3 +371,120 @@ def span_decompose_reference(field, n: int):
     if solution is None:
         return None
     return {pairs[k].label: coeff for k, coeff in enumerate(solution) if coeff != 0}
+
+
+# ----------------------------------------------------------------------
+# the former Poly-chain kernels of the sl(n+1) action
+
+
+def lie_density_reference(field, phi):
+    """Derivative along the field plus weight times divergence."""
+    out = Poly.zero(phi.n)
+    for i, comp in enumerate(field.components):
+        out = out + comp * phi.value.diff(X, i + 1)
+    out = out + phi.weight * field.divergence() * phi.value
+    return Density(out, phi.weight)
+
+
+def apply_operator_reference(op, *args):
+    """Each term x^s a^u b^v contributes x^s * D^u(arg1) * D^v(arg2)."""
+    ctx = op.context
+    if len(args) != ctx.arity:
+        raise ArityError(f"expected {ctx.arity} arguments, got {len(args)}")
+    for arg, weight in zip(args, ctx.weights):
+        if arg.n != ctx.n:
+            raise DimensionMismatchError("argument dimension differs")
+        if arg.weight != weight:
+            raise WeightMismatchError(
+                f"argument weight {arg.weight} != context weight {weight}")
+    fams = ctx.fiber_families()
+    slots = {ALPHA: 0, BETA: 1}
+    out = Poly.zero(ctx.n)
+    for (xa, aa, ba), coeff in op.body.terms.items():
+        fiber_exps = (aa, ba)
+        piece = Poly(ctx.n, {(xa, (0,) * ctx.n, (0,) * ctx.n): coeff})
+        for fam in fams:
+            derived = args[slots[fam]].value.diff_multi(X, fiber_exps[slots[fam]])
+            piece = piece * derived
+            if piece.is_zero():
+                break
+        out = out + piece
+    return Density(out, ctx.mu)
+
+
+def pairing_derivative_reference(field, body):
+    """<X, eta> body: derivatives hitting the coefficient part."""
+    out = Poly.zero(body.n)
+    for i, comp in enumerate(field.components):
+        step = body.diff(X, i + 1)
+        if step.is_zero():
+            continue
+        out = out + comp * step
+    return out
+
+
+def lie_symbol_reference(field, sym):
+    """Tensor-field Lie derivative in fiber coordinates."""
+    ctx = sym.context
+    body = sym.body
+    n = ctx.n
+    out = pairing_derivative_reference(field, body)
+    for fam in ctx.fiber_families():
+        if body.degree(fam) <= 0:
+            continue
+        for ell in range(n):
+            xi_l = Poly.variable(n, fam, ell + 1)
+            for k in range(n):
+                dX = field.components[ell].diff(X, k + 1)
+                if dX.is_zero():
+                    continue
+                step = body.diff(fam, k + 1)
+                if step.is_zero():
+                    continue
+                out = out - dX * xi_l * step
+    out = out + ctx.delta * field.divergence() * body
+    return SymbolPoly(out, ctx)
+
+
+def lie_operator_reference(field, op):
+    """Operator Lie derivative as a Taylor series of whole-body terms."""
+    ctx = op.context
+    body = op.body
+    n = ctx.n
+    out = pairing_derivative_reference(field, body)
+    max_order = max(field.x_degree(), 0)
+    for fam, lam in zip(ctx.fiber_families(), ctx.weights):
+        fam_degree = body.degree(fam)
+        if fam_degree <= 0:
+            continue
+        for order in range(1, min(max_order, fam_degree) + 1):
+            for m in multi_indices(n, order):
+                step = body.taylor_diff(fam, m)
+                if step.is_zero():
+                    continue
+                for ell in range(n):
+                    dX = field.components[ell].diff_multi(X, m)
+                    if not dX.is_zero():
+                        out = out - dX * Poly.variable(n, fam, ell + 1) * step
+                    if lam == 0:
+                        continue
+                    m_plus = list(m)
+                    m_plus[ell] += 1
+                    dX2 = field.components[ell].diff_multi(X, tuple(m_plus))
+                    if not dX2.is_zero():
+                        out = out - lam * dX2 * step
+    out = out + ctx.delta * field.divergence() * body
+    return BidiffOp(out, ctx)
+
+
+def bracket_reference(first, second):
+    """Lie bracket, component by component through Poly products."""
+    n = first.n
+    comps = []
+    for i in range(n):
+        out = Poly.zero(n)
+        for j in range(n):
+            out = out + first.components[j] * second.components[i].diff(X, j + 1)
+            out = out - second.components[j] * first.components[i].diff(X, j + 1)
+        comps.append(out)
+    return VectorField(tuple(comps))

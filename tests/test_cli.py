@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from projquant.cli import (SCAN_ORDER_LIMIT, VERIFY_DIM_LIMIT,
-                           VERIFY_ORDER_LIMIT, main, parse_rational, UsageError)
+from projquant.cli import (SCAN_ORDER_LIMIT, SOLVE_DEGREE_LIMIT,
+                           VERIFY_DIM_LIMIT, VERIFY_ORDER_LIMIT, main,
+                           parse_rational, UsageError)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -217,6 +218,26 @@ def test_verify_dimension_limit(capsys):
         assert out == ""
         assert err.startswith("error: verify limit: --n")
         assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("command", ["quantize", "symbol"])
+def test_solve_degree_limit(capsys, command):
+    """quantize and symbol solve up to the limit's fiber degree, and reject
+    one past it, and a1^3000, at once."""
+    weights = ("--n", "2", "--lambda1", "1/3", "--lambda2", "1/5", "--mu", "1/7")
+    at_limit = f"x1*a1 + a1^{SOLVE_DEGREE_LIMIT - 32}*b2^32"
+    code, out, _ = run(capsys, command, *weights, at_limit)
+    assert code == 0
+    assert json.loads(out)["unique"] is True
+    for expr in (f"a1^{SOLVE_DEGREE_LIMIT + 1}",
+                 f"x1 + a1^{SOLVE_DEGREE_LIMIT - 32}*b2^33", "a1^3000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, *weights, expr)
+        assert time.perf_counter() - start < 1
+        assert code == 1, expr
+        assert out == ""
+        assert err.startswith("error: solve limit: the fiber degree must be at "
+                              f"most {SOLVE_DEGREE_LIMIT}")
 
 
 def test_parse_limit(capsys):

@@ -2,7 +2,8 @@
 
 The closed polynomial form of the operator action is held against the
 defining composition form on random polynomial densities, and all three
-module structures are checked on the bracket.
+module structures are checked on the bracket.  The one-pass integer kernels
+are held against their former Poly-chain forms in `oracles`.
 """
 
 import random
@@ -24,7 +25,10 @@ from projquant.sampling import (random_density, random_operator,
                                 random_vector_field, random_x_poly)
 from projquant.slbasis import basis_fields, sl_basis
 
-from oracles import sympy_symbols, to_sympy
+from oracles import (apply_operator_reference, bracket_reference,
+                     lie_density_reference, lie_operator_reference,
+                     lie_symbol_reference, pairing_derivative_reference,
+                     sympy_symbols, to_sympy)
 
 N = 2
 
@@ -256,3 +260,79 @@ def test_operator_symbol_defect_for_quadratic_fields():
                         defect = defect - Fraction(1, 2) * coeff * xi_l * \
                             body.diff(fam, m1).diff(fam, m2)
         assert op_side - sym_side == defect
+
+
+# ----------------------------------------------------------------------
+# the one-pass integer kernels against the former Poly chains
+
+PARITY_CONTEXTS = [
+    pytest.param(Context(2, (Fraction(1, 3), Fraction(-2, 5)), Fraction(1, 7)),
+                 id="n2-distinct-denominators"),
+    pytest.param(Context.from_delta(2, (Fraction(0), Fraction(3, 4)), Fraction(0)),
+                 id="n2-zero-weight-shift-0"),
+    pytest.param(Context.from_delta(3, (Fraction(-5, 6), Fraction(0)), Fraction(0)),
+                 id="n3-zero-weight-shift-0"),
+    pytest.param(Context(3, (Fraction(7, 4), Fraction(2, 9)), Fraction(-1, 6)),
+                 id="n3-distinct-denominators"),
+    pytest.param(Context(2, (Fraction(-5, 6),), Fraction(2, 9)),
+                 id="n2-arity-1"),
+    pytest.param(Context.from_delta(3, (Fraction(0),), Fraction(0)),
+                 id="n3-arity-1-zero-weight-shift-0"),
+    pytest.param(Context(1, (Fraction(3, 8),), Fraction(-4, 3)),
+                 id="n1-arity-1"),
+]
+
+
+def _parity_fields(rng, n):
+    """Random polynomial fields of x-degree <= 3 with Fraction
+    coefficients, the zero field and two basis fields."""
+    fields = [random_vector_field(rng, n, 3) for _ in range(4)]
+    fields.append(VectorField(tuple(Poly.zero(n) for _ in range(n))))
+    fields += [f for _, f in basis_fields(n)[-2:]]
+    return fields
+
+
+@pytest.mark.parametrize("ctx", PARITY_CONTEXTS)
+def test_lie_kernels_match_poly_chains(ctx):
+    rng = random.Random(41)
+    n = ctx.n
+    bodies = [random_operator(rng, ctx, 4, 3, terms=8).body for _ in range(3)]
+    bodies.append(Poly.zero(n))
+    for X_field in _parity_fields(rng, n):
+        for body in bodies:
+            op = BidiffOp(body, ctx)
+            sym = SymbolPoly(body, ctx)
+            assert (lie_derivative_operator(X_field, op)
+                    == lie_operator_reference(X_field, op))
+            assert (lie_derivative_symbol(X_field, sym)
+                    == lie_symbol_reference(X_field, sym))
+
+
+@pytest.mark.parametrize("ctx", PARITY_CONTEXTS)
+def test_density_kernels_match_poly_chains(ctx):
+    rng = random.Random(43)
+    n = ctx.n
+    for X_field in _parity_fields(rng, n):
+        for weight in ctx.weights + (Fraction(0), ctx.delta):
+            value = random_x_poly(rng, n, 3, terms=6)
+            for phi in (Density(value, weight), Density(Poly.zero(n), weight)):
+                assert (lie_derivative_density(X_field, phi)
+                        == lie_density_reference(X_field, phi))
+            assert (lie_derivative_density(X_field, Density(value, 0)).value
+                    == pairing_derivative_reference(X_field, value))
+    for body in (random_operator(rng, ctx, 4, 3, terms=8).body, Poly.zero(n)):
+        op = BidiffOp(body, ctx)
+        args = [random_density(rng, n, 4, w) for w in ctx.weights]
+        assert apply_operator(op, *args) == apply_operator_reference(op, *args)
+        zero_args = [Density(Poly.zero(n), w) for w in ctx.weights]
+        assert (apply_operator(op, *zero_args)
+                == apply_operator_reference(op, *zero_args))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_matches_poly_chain(n):
+    rng = random.Random(47 + n)
+    fields = _parity_fields(rng, n) + [f for _, f in basis_fields(n)]
+    for X_field in fields:
+        for Y_field in rng.sample(fields, 5):
+            assert bracket(X_field, Y_field) == bracket_reference(X_field, Y_field)

@@ -148,6 +148,15 @@ def test_dimension_mismatch_is_rejected():
         span_decompose(eps_1_of_two, 3)
 
 
+def test_basis_is_built_once_per_n():
+    assert sl_basis(3) is sl_basis(3)
+    assert sl_basis(2) is not sl_basis(3)
+    with pytest.raises(DimensionMismatchError):
+        span_decompose(dict(basis_fields(3))["e_1_2"], 2)
+    with pytest.raises(ValueError):
+        sl_basis(0)
+
+
 def test_euler_field_components():
     e = euler_field(3)
     assert [c for c in e.components] == [Poly.variable(3, X, i) for i in (1, 2, 3)]
