@@ -143,9 +143,8 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], base, euler) -> list:
 def _ct_body(body: Poly, ctx: Context) -> Poly:
     ctx.fiber_families()  # arity must be representable
     n = ctx.n
-    d = ctx.delta
-    base = n * (n + 1) * d * (d - 1)
-    euler = 2 * (n + 1) * (1 - d)
+    base, slope = _shift_scalars(n, ctx.delta)
+    euler = 2 * (1 - slope)
     images: dict = {}
     terms: dict = {}
     for (xa, aa, ba), c in body.terms.items():

@@ -41,6 +41,13 @@ SCAN_ORDER_LIMIT = 64
 # 0.02 s and a1^800 3.2 s.
 SOLVE_DEGREE_LIMIT = 64
 
+# Highest --n that quantize and symbol accept, checked before the expression
+# is parsed: every term carries three exponent tuples of length n, so the
+# cost of a fixed expression grows about linearly with n.  In process,
+# quantize of x1*a1*b<n>*a2*b<n-1>*a3*b<n-2>*a4*b<n-3> took 0.44 s at n=16,
+# 1.1 s at n=64, 1.9 s at n=128 and 3.5 s at n=256.
+SOLVE_DIM_LIMIT = 64
+
 # Highest --max-order that verify accepts.  The suites size their random
 # operators, and the resonance suite its label-pair walk, by this order.  At
 # n=3 the slowest suite, equivariance, took 1.7 s at order 8, 4.2 s at 10
@@ -194,6 +201,8 @@ def _context_from(args) -> Context:
 def _solve(args, solver, result_key: str) -> int:
     """Parse the expression, run the solver in the context of the args and
     print the result, or the obstruction with exit code 2."""
+    if args.n > SOLVE_DIM_LIMIT:
+        raise UsageError(f"solve limit: --n must be at most {SOLVE_DIM_LIMIT}")
     ctx = _context_from(args)
     body = parse_poly(args.expr, args.n)
     if body.fiber_degree() > SOLVE_DEGREE_LIMIT:

@@ -19,15 +19,21 @@ subtract the action on each argument) is kept as
 `lie_derivative_via_definition` and serves as an independent oracle in the
 tests.
 
-The Lie derivatives, `apply_operator` and `bracket` are one-pass integer
-kernels: one pass over the input's terms into one accumulator dict, with no
-intermediate Poly.  Each call carries integer numerators over one
-denominator, the lcm of the body's denominators times the field's times
-those of the weights and shift, and builds Fractions only for the returned
-Poly.  Field derivatives are read off the field's raw terms,
-D^m x^e = perm(e, m) x^(e - m), and the image of each distinct x-monomial,
-fiber monomial or derivative multi-index is built once per call.  The
-former Poly-chain forms are the references of the test suite's oracles.
+`_lie_body` is the one kernel of the action.  The operator and symbol
+actions run it with their per-family weights and Taylor orders; the density
+action is its fiber-free (degree-0) case at shift the weight; and the bracket
+[X, Y] is its degree-1 case, the tensor action of X on the symbol
+sum_i Y_i a_i at shift 0, read back per a_i.
+
+The kernel and `apply_operator` make one pass over the input's terms into
+one accumulator dict, with no intermediate Poly.  Each call carries integer
+numerators over one denominator, the lcm of the body's denominators times
+the field's times those of the weights and shift, and builds Fractions only
+for the returned Poly.  Field derivatives are read off the field's raw
+terms, D^m x^e = perm(e, m) x^(e - m), the divergence is built only at a
+nonzero shift, and the image of each distinct x-monomial, fiber monomial or
+derivative multi-index is built once per call.  The former Poly-chain forms
+are the references of the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from functools import lru_cache
 from math import comb, lcm, perm
 
 from .poly import ALPHA, BETA, X, DimensionMismatchError, Poly, as_fraction
+
+_ZERO = Fraction(0)
 
 
 class ArityError(ValueError):
@@ -147,25 +155,26 @@ class VectorField:
         return max(c.degree(X) for c in self.components)
 
 
+def _check_body(self):
+    """The shared check of SymbolPoly and BidiffOp."""
+    if self.body.n != self.context.n:
+        raise DimensionMismatchError("body and context dimensions differ")
+    if self.context.arity == 1 and self.body.degree(BETA) > 0:
+        raise ArityError(f"arity-1 {self._noun} cannot contain b variables")
+
+
 @dataclass(frozen=True)
 class SymbolPoly:
     """Symmetric-tensor-valued symbol: fiber polynomial with x coefficients."""
 
     body: Poly
     context: Context
-
-    def __post_init__(self):
-        if self.body.n != self.context.n:
-            raise DimensionMismatchError("body and context dimensions differ")
-        if self.context.arity == 1 and self.body.degree(BETA) > 0:
-            raise ArityError("arity-1 symbol cannot contain b variables")
+    _noun = "symbol"
+    __post_init__ = _check_body
 
     @property
     def degree(self) -> int:
         return self.body.fiber_degree()
-
-    def to_operator(self) -> "BidiffOp":
-        return BidiffOp(self.body, self.context)
 
 
 @dataclass(frozen=True)
@@ -174,12 +183,8 @@ class BidiffOp:
 
     body: Poly
     context: Context
-
-    def __post_init__(self):
-        if self.body.n != self.context.n:
-            raise DimensionMismatchError("body and context dimensions differ")
-        if self.context.arity == 1 and self.body.degree(BETA) > 0:
-            raise ArityError("arity-1 operator cannot contain b variables")
+    _noun = "operator"
+    __post_init__ = _check_body
 
     @property
     def order(self) -> int:
@@ -217,12 +222,6 @@ def _poly(n: int, acc: dict, den: int) -> Poly:
     """The Poly whose coefficients are acc's numerators over den."""
     return Poly._trusted(n, {key: Fraction(c, den)
                              for key, c in acc.items() if c})
-
-
-def _x_poly(n: int, acc: dict, den: int) -> Poly:
-    """`_poly` for an accumulator keyed by x exponents alone."""
-    zero = (0,) * n
-    return _poly(n, {(xa, zero, zero): c for xa, c in acc.items()}, den)
 
 
 def _derivative(terms: dict, m: tuple[int, ...]) -> dict:
@@ -315,24 +314,23 @@ def _fiber_image(comps: list[dict], u: tuple[int, ...], top: int,
     return [(e, v, c) for (e, v), c in out.items() if c]
 
 
-def _lie_body(field: VectorField, body: Poly, ctx: Context, top: int,
+def _lie_body(field: VectorField, body: Poly, shift: Fraction, top: int,
               weights: tuple[Fraction, ...]) -> Poly:
-    """Lie derivative of a body in one pass over its terms.
+    """Lie derivative of a body in one pass over its terms: the only kernel
+    of the action.
 
     Each term x^s a^u b^v maps to the density action on x^s (weight the
     shift) times a^u b^v, plus the fiber shifts of a^u and of b^v times x^s,
-    with Taylor orders up to top and the given per-family weights.  The
-    images of each distinct x^s and fiber monomial are built once."""
-    ctx.fiber_families()  # arity must be representable
-    n = ctx.n
+    with Taylor orders up to top and one weight per fiber family in weights
+    (none for a density).  The divergence is built only for a nonzero shift,
+    and the images of each distinct x^s and fiber monomial only once."""
     comps, field_den = _field_numerators(field)
     terms, den = _numerators(body.terms)
-    delta = ctx.delta
-    scale = lcm(delta.denominator, *(w.denominator for w in weights))
-    shift = delta.numerator * (scale // delta.denominator)
+    scale = lcm(shift.denominator, *(w.denominator for w in weights))
+    shift_num = shift.numerator * (scale // shift.denominator)
     families = [(slot, lam.numerator * (scale // lam.denominator))
                 for slot, lam in zip((1, 2), weights)]
-    div = _divergence(comps)
+    div = _divergence(comps) if shift_num else {}
     x_images: dict = {}
     fiber_images: dict = {}
     acc: dict = {}
@@ -340,7 +338,7 @@ def _lie_body(field: VectorField, body: Poly, ctx: Context, top: int,
         image = x_images.get(xa)
         if image is None:
             image = x_images[xa] = _pairing_derivative(comps, div, xa,
-                                                       scale, shift)
+                                                       scale, shift_num)
         for e, k in image.items():
             key = (e, aa, ba)
             acc[key] = acc.get(key, 0) + c * k
@@ -356,7 +354,7 @@ def _lie_body(field: VectorField, body: Poly, ctx: Context, top: int,
                 x2 = tuple([a + b for a, b in zip(xa, e)])
                 key = (x2, v, ba) if slot == 1 else (x2, aa, v)
                 acc[key] = acc.get(key, 0) + c * k
-    return _poly(n, acc, den * field_den * scale)
+    return _poly(body.n, acc, den * field_den * scale)
 
 
 # ----------------------------------------------------------------------
@@ -364,20 +362,11 @@ def _lie_body(field: VectorField, body: Poly, ctx: Context, top: int,
 
 
 def lie_derivative_density(field: VectorField, phi: Density) -> Density:
-    """Derivative along the field plus weight times divergence."""
+    """Derivative along the field plus weight times divergence: the action
+    on a fiber-free body at shift the weight."""
     if field.n != phi.n:
         raise DimensionMismatchError("field and density dimensions differ")
-    comps, field_den = _field_numerators(field)
-    terms, den = _numerators(phi.value.terms)
-    weight = phi.weight
-    div = _divergence(comps)
-    acc: dict = {}
-    for (xa, _, _), c in terms.items():
-        for e, k in _pairing_derivative(comps, div, xa, weight.denominator,
-                                        weight.numerator).items():
-            acc[e] = acc.get(e, 0) + c * k
-    return Density(_x_poly(phi.n, acc, den * field_den * weight.denominator),
-                   weight)
+    return Density(_lie_body(field, phi.value, phi.weight, 0, ()), phi.weight)
 
 
 def apply_operator(op: BidiffOp, *args: Density) -> Density:
@@ -401,6 +390,7 @@ def apply_operator(op: BidiffOp, *args: Density) -> Density:
         nums, arg_den = _numerators({key[0]: c for key, c in arg.value.terms.items()})
         factors.append((nums, {}))
         den *= arg_den
+    zero = (0,) * ctx.n
     acc: dict = {}
     for (xa, *fibers), c in terms.items():
         pieces = [(xa, c)]
@@ -411,8 +401,8 @@ def apply_operator(op: BidiffOp, *args: Density) -> Density:
             pieces = [(tuple([a + b for a, b in zip(e1, e2)]), c1 * c2)
                       for e1, c1 in pieces for e2, c2 in d.items()]
         for e, k in pieces:
-            acc[e] = acc.get(e, 0) + k
-    return Density(_x_poly(ctx.n, acc, den), ctx.mu)
+            acc[(e, zero, zero)] = acc.get((e, zero, zero), 0) + k
+    return Density(_poly(ctx.n, acc, den), ctx.mu)
 
 
 def lie_derivative_symbol(field: VectorField, sym: SymbolPoly) -> SymbolPoly:
@@ -421,8 +411,9 @@ def lie_derivative_symbol(field: VectorField, sym: SymbolPoly) -> SymbolPoly:
     if field.n != sym.body.n:
         raise DimensionMismatchError("field and symbol dimensions differ")
     ctx = sym.context
-    zero_weights = (Fraction(0),) * ctx.arity
-    return SymbolPoly(_lie_body(field, sym.body, ctx, 1, zero_weights), ctx)
+    zero_weights = (_ZERO,) * len(ctx.fiber_families())
+    return SymbolPoly(_lie_body(field, sym.body, ctx.delta, 1, zero_weights),
+                      ctx)
 
 
 def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
@@ -436,8 +427,10 @@ def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
     if field.n != op.body.n:
         raise DimensionMismatchError("field and operator dimensions differ")
     ctx = op.context
+    ctx.fiber_families()  # arity must be representable
     top = max(field.x_degree(), 0)
-    return BidiffOp(_lie_body(field, op.body, ctx, top, ctx.weights), ctx)
+    return BidiffOp(_lie_body(field, op.body, ctx.delta, top, ctx.weights),
+                    ctx)
 
 
 def lie_derivative_via_definition(field: VectorField, op: BidiffOp,
@@ -453,26 +446,18 @@ def lie_derivative_via_definition(field: VectorField, op: BidiffOp,
 
 
 def bracket(first: VectorField, second: VectorField) -> VectorField:
-    """Lie bracket of vector fields: [X, Y]_i = X(Y_i) - Y(X_i), each
-    component accumulated in one dict from the images of its monomials."""
+    """Lie bracket of vector fields: the tensor action of the first field on
+    the degree-1 symbol sum_i Y_i a_i of the second at shift 0, read back
+    per a_i."""
     if first.n != second.n:
         raise DimensionMismatchError("field dimensions differ")
     n = first.n
-    xs, x_den = _field_numerators(first)
-    ys, y_den = _field_numerators(second)
-    along_x: dict = {}
-    along_y: dict = {}
-    comps = []
-    for i in range(n):
-        acc: dict = {}
-        for along, field, target, sign in ((along_x, xs, ys[i], 1),
-                                           (along_y, ys, xs[i], -1)):
-            for e, c in target.items():
-                image = along.get(e)
-                if image is None:
-                    image = along[e] = _pairing_derivative(field, {}, e, 1, 0)
-                c *= sign
-                for key, k in image.items():
-                    acc[key] = acc.get(key, 0) + c * k
-        comps.append(_x_poly(n, acc, x_den * y_den))
-    return VectorField(tuple(comps))
+    zero = (0,) * n
+    units = {tuple(int(k == i) for k in range(n)): i for i in range(n)}
+    body = Poly._trusted(n, {(xa, unit, zero): c
+                             for unit, comp in zip(units, second.components)
+                             for (xa, _, _), c in comp.terms.items()})
+    comps: list[dict] = [{} for _ in range(n)]
+    for (xa, aa, _), c in _lie_body(first, body, _ZERO, 1, (_ZERO,)).terms.items():
+        comps[units[aa]][(xa, zero, zero)] = c
+    return VectorField(tuple(Poly._trusted(n, t) for t in comps))

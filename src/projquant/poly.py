@@ -350,8 +350,7 @@ class Poly:
         """Rename the a family to b.  Input must be b-free."""
         if self.degree(BETA) > 0:
             raise ValueError("move_alpha_to_beta expects a b-free polynomial")
-        return Poly._trusted(
-            self.n, {(xa, ba, aa): c for (xa, aa, ba), c in self.terms.items()})
+        return self.swap_fibers()
 
 
 def multi_indices(n: int, order: int):

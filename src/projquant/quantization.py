@@ -169,6 +169,19 @@ def _split_symmetric(part: Poly) -> tuple[Poly, Poly]:
     return (part + swapped).scale(half), (part - swapped).scale(half)
 
 
+def _prolong_block(part: Poly, ratios, double=0) -> Poly:
+    """One block of a second-order closed form: part plus r * eta_f(part)
+    for each (family f, ratio r) of ratios, plus double times part
+    contracted once in the first family of ratios and once in the last."""
+    onces = [part.eta_contract(family) for family, _ in ratios]
+    out = part
+    for (_, ratio), once in zip(ratios, onces):
+        out = out + ratio * once
+    if double:
+        out = out + double * onces[0].eta_contract(ratios[-1][0])
+    return out
+
+
 def quantize_order2_closed(sym: SymbolPoly) -> BidiffOp:
     """Explicit prolongation of symbols of degree at most two.
 
@@ -190,34 +203,24 @@ def quantize_order2_closed(sym: SymbolPoly) -> BidiffOp:
     for (da, db), part in sym.body.bidegree_parts().items():
         if da + db == 0:
             out = out + part
-        elif (da, db) == (1, 0):
-            out = out + part + (lam1 / den1) * part.eta_contract(ALPHA)
-        elif (da, db) == (0, 1):
-            out = out + part + (lam2 / den1) * part.eta_contract(BETA)
-        elif (da, db) == (2, 0):
-            r1 = ((n + 1) * lam1 + 1) / den3
-            r2 = ((n + 1) * lam1 + 1) * (n + 1) * lam1 / (den3 * den2)
-            once = part.eta_contract(ALPHA)
-            out = out + part + r1 * once + (r2 / 2) * once.eta_contract(ALPHA)
-        elif (da, db) == (0, 2):
-            r1 = ((n + 1) * lam2 + 1) / den3
-            r2 = ((n + 1) * lam2 + 1) * (n + 1) * lam2 / (den3 * den2)
-            once = part.eta_contract(BETA)
-            out = out + part + r1 * once + (r2 / 2) * once.eta_contract(BETA)
+        elif da * db == 0:
+            family, lam = (ALPHA, lam1) if da else (BETA, lam2)
+            if da + db == 1:
+                out = out + _prolong_block(part, [(family, lam / den1)])
+            else:
+                r1 = ((n + 1) * lam + 1) / den3
+                r2 = r1 * (n + 1) * lam / den2
+                out = out + _prolong_block(part, [(family, r1)], r2 / 2)
         else:
             symmetric, antisymmetric = _split_symmetric(part)
             if not symmetric.is_zero():
-                s1 = (n + 1) * lam1 / den3
-                s2 = (n + 1) * lam2 / den3
-                s12 = (n + 1) ** 2 * lam1 * lam2 / (den3 * den2)
-                out = (out + symmetric
-                       + s1 * symmetric.eta_contract(ALPHA)
-                       + s2 * symmetric.eta_contract(BETA)
-                       + s12 * symmetric.eta_contract(ALPHA).eta_contract(BETA))
+                out = out + _prolong_block(
+                    symmetric, [(ALPHA, (n + 1) * lam1 / den3),
+                                (BETA, (n + 1) * lam2 / den3)],
+                    (n + 1) ** 2 * lam1 * lam2 / (den3 * den2))
             if not antisymmetric.is_zero():
-                out = (out + antisymmetric
-                       + (lam1 / den1) * antisymmetric.eta_contract(ALPHA)
-                       + (lam2 / den1) * antisymmetric.eta_contract(BETA))
+                out = out + _prolong_block(
+                    antisymmetric, [(ALPHA, lam1 / den1), (BETA, lam2 / den1)])
     return BidiffOp(out, ctx)
 
 
@@ -305,22 +308,17 @@ def order2_critical_family(sym: SymbolPoly, k) -> BidiffOp:
     den3 = (n + 1) * (1 - ctx.delta) + 2
     out = Poly.zero(n)
     for (da, db), part in sym.body.bidegree_parts().items():
-        if (da, db) == (2, 0):
-            once = part.eta_contract(ALPHA)
-            out = (out + part + (((n + 1) * lam1 + 1) / den3) * once
-                   + (k / 2) * once.eta_contract(ALPHA))
-        elif (da, db) == (0, 2):
-            once = part.eta_contract(BETA)
-            out = (out + part + (((n + 1) * lam2 + 1) / den3) * once
-                   + (k / 2) * once.eta_contract(BETA))
+        if (da, db) in ((2, 0), (0, 2)):
+            family, lam = (ALPHA, lam1) if da else (BETA, lam2)
+            out = out + _prolong_block(
+                part, [(family, ((n + 1) * lam + 1) / den3)], k / 2)
         elif (da, db) == (1, 1):
             symmetric, antisymmetric = _split_symmetric(part)
             if not antisymmetric.is_zero():
                 raise ValueError("family covers the symmetric block only")
-            out = (out + symmetric
-                   + ((n + 1) * lam1 / den3) * symmetric.eta_contract(ALPHA)
-                   + ((n + 1) * lam2 / den3) * symmetric.eta_contract(BETA)
-                   + (k / 2) * symmetric.eta_contract(ALPHA).eta_contract(BETA))
+            out = out + _prolong_block(
+                symmetric, [(ALPHA, (n + 1) * lam1 / den3),
+                            (BETA, (n + 1) * lam2 / den3)], k / 2)
         else:
             raise ValueError("family is defined on degree-2 symbols")
     return BidiffOp(out, ctx)

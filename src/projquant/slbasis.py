@@ -8,8 +8,10 @@ so the duality is hard-coded rather than recomputed from a bilinear form.
 
 Span membership needs no elimination: the basis is almost in echelon form,
 so `span_decompose` reads every coefficient off one coordinate of the field
-(the diagonal fields through the inverse of an n x n block), then proves
-membership with one exact residual check, sum(c * element) == field.
+in one pass over its terms (the diagonal fields through the inverse of an
+n x n block), then proves membership with one exact residual check,
+sum(c * element) == field.  `bracket_closure_check` goes through the same
+`span_decompose` for every bracket.
 """
 
 from __future__ import annotations
@@ -105,53 +107,37 @@ def basis_fields(n: int) -> tuple[tuple[str, VectorField], ...]:
 _ZERO = Fraction(0)
 
 
-def _read_off(field: VectorField) -> dict[str, Fraction]:
-    """The only coefficients that can express the field in the basis.
+def _read_off(field: VectorField) -> list[Fraction]:
+    """The only coefficients that can express the field in the basis, in
+    `sl_basis` order, from one pass over the field's terms.
 
     Each non-diagonal basis element is the only one reaching one coordinate:
     e_i the constant of slot i, e_i_j the x_j of slot i, eps_i the x_i^2 of
-    slot i.  The diagonal fields all reach the x_k of slot k, y_k = -c_kk -
-    sum(c), which the inverse of -(I + J) solves as c_kk = -y_k + sum(y)/(n+1).
+    slot i; every other term is left to the residual check.  The diagonal
+    fields all reach the x_k of slot k, y_k = -c_kk - sum(c), which the
+    inverse of -(I + J) solves as c_kk = -y_k + sum(y)/(n+1).
     """
     n = field.n
-    zero = (0,) * n
-
-    def coordinate(slot: int, *xs: int) -> Fraction:
-        """Coefficient of the product of the x_xs in the given slot."""
-        exps = [0] * n
-        for x in xs:
-            exps[x - 1] += 1
-        return field.components[slot - 1].terms.get(
-            (tuple(exps), zero, zero), _ZERO)
-
-    coeffs = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                coeffs[f"e_{i}_{j}"] = -coordinate(i, j)
-    y = [coordinate(k, k) for k in range(1, n + 1)]
-    mean = sum(y, Fraction(0)) / (n + 1)
-    for k in range(1, n + 1):
-        coeffs[f"e_{k}_{k}"] = mean - y[k - 1]
-    for i in range(1, n + 1):
-        coeffs[f"e_{i}"] = -coordinate(i)
-        coeffs[f"eps_{i}"] = coordinate(i, i, i)  # x_i^2 in slot i
+    diag = n * (n - 1)  # e_i_j (i != j) come first, then e_k_k, e_i, eps_i
+    coeffs = [_ZERO] * (n * n + 2 * n)
+    y = [_ZERO] * n
+    for i, component in enumerate(field.components):
+        for (xa, _, _), c in component.terms.items():
+            degree = sum(xa)
+            if not degree:
+                coeffs[diag + n + i] = -c
+            elif degree == 1:
+                j = xa.index(1)
+                if j == i:
+                    y[i] = c
+                else:
+                    coeffs[i * (n - 1) + j - (j > i)] = -c
+            elif degree == 2 and xa[i] == 2:
+                coeffs[diag + 2 * n + i] = c
+    mean = sum(y, _ZERO) / (n + 1)
+    for k, yk in enumerate(y):
+        coeffs[diag + k] = mean - yk
     return coeffs
-
-
-def _decompose_in(field: VectorField, pairs: tuple[DualBasisPair, ...]):
-    """`span_decompose` against a basis built once by the caller."""
-    coeffs = _read_off(field)
-    nonzero = [(pair, coeffs[pair.label]) for pair in pairs
-               if coeffs[pair.label] != 0]
-    for slot, component in enumerate(field.components):
-        total: dict = {}
-        for pair, c in nonzero:
-            for key, value in pair.element.components[slot].terms.items():
-                total[key] = total.get(key, 0) + c * value
-        if {key: v for key, v in total.items() if v} != component.terms:
-            return None
-    return {pair.label: c for pair, c in nonzero}
 
 
 def span_decompose(field: VectorField, n: int):
@@ -164,7 +150,15 @@ def span_decompose(field: VectorField, n: int):
     if field.n != n:
         raise DimensionMismatchError(
             f"field of dimension {field.n} against the sl({n + 1}) basis")
-    return _decompose_in(field, pairs)
+    nonzero = [(pair, c) for pair, c in zip(pairs, _read_off(field)) if c]
+    for slot, component in enumerate(field.components):
+        total: dict = {}
+        for pair, c in nonzero:
+            for key, value in pair.element.components[slot].terms.items():
+                total[key] = total.get(key, 0) + c * value
+        if {key: v for key, v in total.items() if v} != component.terms:
+            return None
+    return {pair.label: c for pair, c in nonzero}
 
 
 def bracket_closure_check(n: int):
@@ -174,6 +168,6 @@ def bracket_closure_check(n: int):
     pairs = sl_basis(n)
     for a in pairs:
         for b in pairs:
-            if _decompose_in(bracket(a.element, b.element), pairs) is None:
+            if span_decompose(bracket(a.element, b.element), n) is None:
                 return False, (a.label, b.label)
     return True, None

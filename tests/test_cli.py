@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from projquant.cli import (SCAN_ORDER_LIMIT, SOLVE_DEGREE_LIMIT,
-                           VERIFY_DIM_LIMIT, VERIFY_ORDER_LIMIT, main,
-                           parse_rational, UsageError)
+                           SOLVE_DIM_LIMIT, VERIFY_DIM_LIMIT,
+                           VERIFY_ORDER_LIMIT, main, parse_rational,
+                           UsageError)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -238,6 +239,25 @@ def test_solve_degree_limit(capsys, command):
         assert out == ""
         assert err.startswith("error: solve limit: the fiber degree must be at "
                               f"most {SOLVE_DEGREE_LIMIT}")
+
+
+@pytest.mark.parametrize("command", ["quantize", "symbol"])
+def test_solve_dimension_limit(capsys, command):
+    """quantize and symbol solve at the limit's dimension, and reject a
+    larger --n before the expression is parsed, at once."""
+    weights = ("--lambda1", "1/3", "--lambda2", "1/5", "--mu", "1/7")
+    top = SOLVE_DIM_LIMIT
+    code, out, _ = run(capsys, command, "--n", str(top), *weights,
+                       f"x1*a1*b{top} + x{top}^2*a2*b1")
+    assert code == 0
+    assert json.loads(out)["unique"] is True
+    for n in (top + 1, 10**6):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--n", str(n), *weights, "a1")
+        assert time.perf_counter() - start < 1
+        assert code == 1, n
+        assert out == ""
+        assert err == f"error: solve limit: --n must be at most {top}\n"
 
 
 def test_parse_limit(capsys):

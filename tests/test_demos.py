@@ -1,5 +1,6 @@
-"""Every demo runs to completion with deterministic output, and the demos and
-the verify suites print exactly the bytes recorded in stdout_digests.json."""
+"""Every demo runs to completion with deterministic output, and the demos,
+the verify suites and a fixed set of CLI invocations print exactly the bytes
+recorded in stdout_digests.json."""
 
 import hashlib
 import json
@@ -15,6 +16,32 @@ from projquant.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DIGESTS = json.loads((Path(__file__).parent / "stdout_digests.json").read_text())
+
+# name in DIGESTS["cli"] -> (argv, exit code)
+CLI_CASES = {
+    "spectrum-n2": (["spectrum", "--n", "2", "--delta", "3/2",
+                     "--max-order", "6", "--json"], 0),
+    "spectrum-n3": (["spectrum", "--n", "3", "--delta=-1/4", "--json"], 0),
+    "critical-n2": (["critical", "--n", "2", "--range", "0", "6", "--json"], 0),
+    "critical-n3": (["critical", "--n", "3", "--range", "1", "4", "--json"], 0),
+    "resonances-n2": (["resonances", "--n", "2", "--delta", "3/2", "--json"], 0),
+    "resonances-n3": (["resonances", "--n", "3", "--delta", "5/4",
+                       "--max-order", "8", "--json"], 0),
+    "quantize-n2": (["quantize", "--n", "2", "--lambda1", "1/3", "--lambda2",
+                     "1/5", "--mu", "1/7",
+                     "x1*a1*b2 + x2^2*a1^2 - 3/2*a2*b1"], 0),
+    "quantize-n3": (["quantize", "--n", "3", "--lambda1", "0", "--lambda2",
+                     "1/2", "--mu", "2/3",
+                     "x1*x3*a1*a2*b3 + a3^3 + x2*b1^2"], 0),
+    "quantize-n2-obstruction": (["quantize", "--n", "2", "--lambda1", "0",
+                                 "--lambda2", "0", "--mu", "5/3",
+                                 "x1^2*a1^2 + x2*a1*b2"], 2),
+    "symbol-n2": (["symbol", "--n", "2", "--lambda1", "1/3", "--lambda2",
+                   "1/5", "--mu", "1/7",
+                   "x1*a1*b2 + x2^2*a1^2 + 4*x1*a2 - 3/2"], 0),
+    "symbol-n3": (["symbol", "--n", "3", "--lambda1", "1/4", "--lambda2=-1/3",
+                   "--mu", "1", "x3*a1*a2*b2 + x1^2*a3*b1 + x2*b3"], 0),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -50,3 +77,16 @@ def test_verify_json_output_is_unchanged(capsys, suite, n):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out.encode()) == DIGESTS["verify_json_seed_0"][suite]
+
+
+def test_all_cli_cases_are_recorded():
+    assert sorted(DIGESTS["cli"]) == sorted(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_is_unchanged(capsys, name):
+    argv, expected_code = CLI_CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert sha256(out.encode()) == DIGESTS["cli"][name]

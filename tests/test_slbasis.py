@@ -123,11 +123,33 @@ def test_read_off_matches_elimination_on_random_combinations(n):
     (3, ("x1 + x1*x2", "x2", "0")),
     # eps_2 missing its slot-3 part
     (3, ("x1*x2", "x2^2", "0")),
+    # x_i^3 in slot i
+    (1, ("x1^3",)),
+    (2, ("0", "x2^3")),
+    (3, ("x1", "0", "x3^3 - x3^2")),
+    # x_i * x_j in slot i without the rest of eps_j
+    (2, ("x1*x2", "0")),
+    (3, ("0", "x2*x3 + x2^2", "0")),
+    # a member at n = 1 plus a cubic
+    (1, ("1 + x1^2 + x1^3",)),
 ])
 def test_non_members_are_rejected_by_both(n, slots):
     field = _field(n, *slots)
     assert span_decompose_reference(field, n) is None
     assert span_decompose(field, n) is None
+
+
+@pytest.mark.parametrize("n, slots, expected", [
+    # at n = 1 every field of degree <= 2 is a member: 1 + x1^2 = -e_1 + eps_1
+    (1, ("1 + x1^2",), {"e_1": Fraction(-1), "eps_1": Fraction(1)}),
+    (1, ("x1^2 - 4*x1",), {"e_1_1": Fraction(2), "eps_1": Fraction(1)}),
+    (2, ("x1^2 + 3", "x1*x2"), {"e_1": Fraction(-3), "eps_1": Fraction(1)}),
+    (3, ("x1*x3", "x2*x3 - x1", "x3^2"),
+     {"e_2_1": Fraction(1), "eps_3": Fraction(1)}),
+])
+def test_members_read_off_every_coordinate(n, slots, expected):
+    field = _field(n, *slots)
+    assert span_decompose(field, n) == span_decompose_reference(field, n) == expected
 
 
 def test_linear_fields_decompose_through_the_diagonal_block():
