@@ -19,11 +19,11 @@ produces the canonical generator of each block.
 `fiber_casimir` is the kernel of `casimir_symbol` on one fiber monomial:
 the Casimir ignores x, so `casimir_symbol` maps each distinct fiber
 monomial of a body once, in one pass over the terms.  With its shift
-scalars set to zero it is the shift-free operator from which
-`projquant.isotypic` builds its projectors, one fiber monomial at a time and
-memoised per solve.  `casimir_correction` is likewise one pass over the
-terms: each term maps to at most n images per fiber family, with no
-intermediate Poly.
+scalars set to zero it is the shift-free operator whose Krylov vectors
+`projquant.isotypic` combines into its projectors, one fiber monomial at a
+time and memoised per solve.  `casimir_correction` is likewise one pass
+over the terms: each term maps to at most n images per fiber family, with
+no intermediate Poly.
 """
 
 from __future__ import annotations
@@ -114,7 +114,9 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], base, euler) -> list:
     (u', v', coefficient) with zero terms omitted.
 
     base and euler are the context scalars n(n+1)d(d-1) and 2(n+1)(1-d);
-    with base 0 and euler 2(n+1) the result is shift-free.  Of the terms
+    with base 0 and euler 2(n+1) the result is shift-free, with integer
+    coefficients: the operator C whose Krylov vectors m, Cm, C^2 m, ...
+    the isotypic projectors combine.  Of the terms
     xi_ki xi_lj D_l. D_k. (families k, l; indices i, j) only those moving
     one a-index j to i and one b-index i to j, i != j, change the monomial,
     each move carrying 2 u_j v_i.  The rest restore the monomial and sum to

@@ -2,25 +2,33 @@
 
 A homogeneous symbol of total fiber degree i splits into components labelled
 (i, p) with p up to floor(i/2) (only p = 0 in dimension one or at arity
-one).  The projectors are Lagrange interpolants of casimir_symbol: the
-eigenvalue differences 2 (p - q)(p + q - 1 - i) are shift-free, so any
-context shift yields the same operator.
+one).  The projectors are the Lagrange interpolants l_p(C) of the shift-free
+symbol Casimir C: the eigenvalue differences 2 (p - q)(p + q - 1 - i) do not
+depend on the shift, so any context shift yields the same operator.
+
+`projector_constants` holds, per (n, i), the shift-free eigenvalues, the
+common denominator D of the interpolants and the integer coefficients of
+each D l_p(t); it is the only thing cached across calls.
 
 The symbol Casimir leaves x alone, so the projection works per fiber
 monomial: P(x^s m) = x^s P(m).  Each distinct fiber monomial m is projected
-once, with the shift-free Casimir in integer arithmetic, into a plain dict
-memo.  A memo lives for one top-level call (`decompose`, `quantize`,
-`symbol_map`) and is shared by every degree, level and component of it;
-nothing is kept between calls.
+once, in integer arithmetic: its Krylov vectors m, Cm, ..., C^(L-1) m (L
+labels) are combined with the coefficients of each D l_p, and the last
+label takes the remainder D m minus the others.  The integer images over D
+go into a plain dict memo.  A memo lives for one top-level call
+(`decompose`, `quantize`, `symbol_map`) and is shared by every degree, level
+and component of it.  `decompose_body` reads the body as integer numerators
+over one denominator and builds each output coefficient once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .casimir import (LabelRangeError, SpectralLabel, casimir_eigenvalue,
                       fiber_casimir, tableau_labels)
-from .densities import Context, SymbolPoly
+from .densities import Context, SymbolPoly, _numerators, _poly
 from .poly import Poly
 
 
@@ -33,36 +41,58 @@ def labels_for_degree(ctx: Context, degree: int) -> tuple[SpectralLabel, ...]:
     return tuple(SpectralLabel(degree, q) for q in tableau_labels(ctx.n, degree))
 
 
-def _project_fiber(u: tuple[int, ...], v: tuple[int, ...],
-                   labels: tuple[SpectralLabel, ...], gamma: list[int],
-                   n: int) -> list:
-    """Isotypic pieces of the fiber monomial a^u b^v, as
-    (label, ((u', v', coefficient), ...)) with zero pieces omitted; gamma
-    holds the shift-free eigenvalues of the labels.
+@lru_cache(maxsize=256)
+def projector_constants(n: int, degree: int) -> tuple:
+    """(gamma, D, coefficients) of the projectors at one degree, arity two.
 
-    Every label but the last is the Lagrange product of (C - gamma_q) over
-    the other labels, taken with the shift-free Casimir so that the
-    numerators stay integers; the last is the remainder, which equals its
-    own Lagrange product because the interpolants sum to one."""
-    euler = 2 * (n + 1)
-    pieces = []
-    rest = {(u, v): Fraction(1)}
-    for label in labels[:-1]:
-        num = {(u, v): 1}
+    gamma holds the shift-free eigenvalues gamma_q of the labels (degree, q),
+    D = lcm_p prod_{q != p} (gamma_p - gamma_q) is the common denominator of
+    the Lagrange basis polynomials l_p(t) = prod_{q != p} (t - gamma_q) /
+    (gamma_p - gamma_q), and coefficients[p] lists the integer coefficients
+    of D l_p(t), constant term first."""
+    gamma = tuple(int(casimir_eigenvalue(n, 0, degree, q))
+                  for q in tableau_labels(n, degree))
+    products = []
+    for p, gamma_p in enumerate(gamma):
+        poly = [1]
         den = 1
-        for _, q in labels:
-            if q == label.p:
-                continue
-            step: dict = {}
-            for (u1, v1), c in num.items():
-                for u2, v2, k in fiber_casimir(u1, v1, -gamma[q], euler):
-                    step[(u2, v2)] = step.get((u2, v2), 0) + c * k
-            num = {key: c for key, c in step.items() if c}
-            den *= gamma[label.p] - gamma[q]
-            if not num:
-                break
-        if num:
-            image = tuple((a, b, Fraction(c, den)) for (a, b), c in num.items())
+        for q, gamma_q in enumerate(gamma):
+            if q != p:
+                poly = [a - gamma_q * b for a, b in zip([0] + poly, poly + [0])]
+                den *= gamma_p - gamma_q
+        products.append((poly, den))
+    D = lcm(*(den for _, den in products))
+    return gamma, D, tuple(tuple(c * (D // den) for c in poly)
+                           for poly, den in products)
+
+
+def _project_fiber(u: tuple[int, ...], v: tuple[int, ...],
+                   labels: tuple[SpectralLabel, ...], D: int,
+                   coefficients: tuple, n: int) -> list:
+    """Isotypic pieces of the fiber monomial a^u b^v, times D, as
+    (label, ((u', v', integer), ...)) with zero pieces omitted.
+
+    The Krylov vectors m, Cm, ..., C^(L-1) m of the shift-free Casimir C
+    (L labels) take L - 1 Casimir applications; every label but the last is
+    their combination with the coefficients of D l_p, and the last is the
+    remainder D m minus the others, since the interpolants sum to one."""
+    euler = 2 * (n + 1)
+    krylov = [{(u, v): 1}]
+    for _ in labels[1:]:
+        step: dict = {}
+        for (u1, v1), c in krylov[-1].items():
+            for u2, v2, k in fiber_casimir(u1, v1, 0, euler):
+                step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+        krylov.append(step)
+    pieces = []
+    rest = {(u, v): D}
+    for label in labels[:-1]:
+        num: dict = {}
+        for k, vector in zip(coefficients[label.p], krylov):
+            for key, c in vector.items():
+                num[key] = num.get(key, 0) + k * c
+        image = tuple((a, b, c) for (a, b), c in num.items() if c)
+        if image:
             pieces.append((label, image))
             for a, b, c in image:
                 rest[(a, b)] = rest.get((a, b), 0) - c
@@ -76,29 +106,33 @@ def decompose_body(body: Poly, degree: int, ctx: Context,
                    memo: dict) -> dict[SpectralLabel, Poly]:
     """Isotypic pieces of a homogeneous body; zero pieces are omitted.
 
-    memo maps fiber monomials to their pieces; pass the same dict to every
-    call made for one context to project each fiber monomial only once."""
+    memo maps fiber monomials to their integer pieces over D; pass the same
+    dict to every call made for one context to project each fiber monomial
+    only once.  The body is read as integer numerators over one
+    denominator, and each output coefficient is built once."""
     if body.is_zero():
         return {}
     labels = labels_for_degree(ctx, degree)
     if len(labels) == 1:
         return {labels[0]: body}
-    gamma = [int(casimir_eigenvalue(ctx.n, 0, degree, q)) for _, q in labels]
+    _, D, coefficients = projector_constants(ctx.n, degree)
+    terms, den = _numerators(body.terms)
     acc: dict[SpectralLabel, dict] = {label: {} for label in labels}
-    for (xa, aa, ba), c in body.terms.items():
+    for (xa, aa, ba), c in terms.items():
         pieces = memo.get((aa, ba))
         if pieces is None:
-            pieces = memo[(aa, ba)] = _project_fiber(aa, ba, labels, gamma, ctx.n)
+            pieces = memo[(aa, ba)] = _project_fiber(aa, ba, labels, D,
+                                                     coefficients, ctx.n)
         for label, image in pieces:
-            terms = acc[label]
+            out = acc[label]
             for a, b, k in image:
                 key = (xa, a, b)
-                terms[key] = terms.get(key, 0) + c * k
+                out[key] = out.get(key, 0) + c * k
     parts = {}
-    for label, terms in acc.items():
-        terms = {key: c for key, c in terms.items() if c}
-        if terms:
-            parts[label] = Poly._trusted(ctx.n, terms)
+    for label, out in acc.items():
+        piece = _poly(ctx.n, out, D * den)
+        if not piece.is_zero():
+            parts[label] = piece
     return parts
 
 

@@ -115,7 +115,8 @@ def _read_off(field: VectorField) -> list[Fraction]:
     e_i the constant of slot i, e_i_j the x_j of slot i, eps_i the x_i^2 of
     slot i; every other term is left to the residual check.  The diagonal
     fields all reach the x_k of slot k, y_k = -c_kk - sum(c), which the
-    inverse of -(I + J) solves as c_kk = -y_k + sum(y)/(n+1).
+    inverse of -(I + J) solves as c_kk = -y_k + sum(y)/(n+1); when every
+    y_k is 0, as for most brackets of basis elements, so is every c_kk.
     """
     n = field.n
     diag = n * (n - 1)  # e_i_j (i != j) come first, then e_k_k, e_i, eps_i
@@ -134,9 +135,10 @@ def _read_off(field: VectorField) -> list[Fraction]:
                     coeffs[i * (n - 1) + j - (j > i)] = -c
             elif degree == 2 and xa[i] == 2:
                 coeffs[diag + 2 * n + i] = c
-    mean = sum(y, _ZERO) / (n + 1)
-    for k, yk in enumerate(y):
-        coeffs[diag + k] = mean - yk
+    if any(y):
+        mean = sum(y, _ZERO) / (n + 1)
+        for k, yk in enumerate(y):
+            coeffs[diag + k] = mean - yk
     return coeffs
 
 

@@ -7,7 +7,10 @@ is evidence about the implementation rather than a tautology.
 The reference Casimir and projector below are the engine's former whole-body
 forms: the symbol Casimir as a sum of second derivatives in the fiber
 variables, and each isotypic projector as a Lagrange product of Casimir
-applications to the whole x-dependent body.
+applications to the whole x-dependent body.  `project_fiber_reference` is
+the engine's former per-fiber-monomial projector: one Lagrange product of
+shift-free Casimir applications per label, divided by its own eigenvalue
+differences.
 
 The reference degree-lowering correction is the engine's former
 composition of whole-body `eta_contract`, `euler` and scaling.
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 import sympy
 
-from projquant.casimir import casimir_eigenvalue
+from projquant.casimir import casimir_eigenvalue, fiber_casimir
 from projquant.densities import (ArityError, BidiffOp, Context, Density,
                                  SymbolPoly, VectorField, WeightMismatchError)
 from projquant.isotypic import labels_for_degree
@@ -115,6 +118,44 @@ def project_reference(body: Poly, degree: int, p: int, ctx: Context) -> Poly:
         shifted = ct_body_reference(out, ctx) - gamma_q * out
         out = shifted.scale(1 / (gamma_p - gamma_q))
     return out
+
+
+def project_fiber_reference(u: tuple[int, ...], v: tuple[int, ...],
+                            labels: tuple, gamma: list[int], n: int) -> list:
+    """Isotypic pieces of the fiber monomial a^u b^v, as
+    (label, ((u', v', coefficient), ...)) with zero pieces omitted; gamma
+    holds the shift-free eigenvalues of the labels.
+
+    Every label but the last is the Lagrange product of (C - gamma_q) over
+    the other labels, taken with the shift-free Casimir so that the
+    numerators stay integers; the last is the remainder, which equals its
+    own Lagrange product because the interpolants sum to one."""
+    euler = 2 * (n + 1)
+    pieces = []
+    rest = {(u, v): Fraction(1)}
+    for label in labels[:-1]:
+        num = {(u, v): 1}
+        den = 1
+        for _, q in labels:
+            if q == label.p:
+                continue
+            step: dict = {}
+            for (u1, v1), c in num.items():
+                for u2, v2, k in fiber_casimir(u1, v1, -gamma[q], euler):
+                    step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+            num = {key: c for key, c in step.items() if c}
+            den *= gamma[label.p] - gamma[q]
+            if not num:
+                break
+        if num:
+            image = tuple((a, b, Fraction(c, den)) for (a, b), c in num.items())
+            pieces.append((label, image))
+            for a, b, c in image:
+                rest[(a, b)] = rest.get((a, b), 0) - c
+    last = tuple((a, b, c) for (a, b), c in rest.items() if c)
+    if last:
+        pieces.append((labels[-1], last))
+    return pieces
 
 
 def decompose_reference(sym: SymbolPoly) -> dict:

@@ -41,6 +41,22 @@ CLI_CASES = {
                    "x1*a1*b2 + x2^2*a1^2 + 4*x1*a2 - 3/2"], 0),
     "symbol-n3": (["symbol", "--n", "3", "--lambda1", "1/4", "--lambda2=-1/3",
                    "--mu", "1", "x3*a1*a2*b2 + x1^2*a3*b1 + x2*b3"], 0),
+    # fiber degree 7 at n = 3: four labels, (7, 0) to (7, 3)
+    "quantize-n3-degree7": (["quantize", "--n", "3", "--lambda1", "1/3",
+                             "--lambda2", "1/5", "--mu", "1/7",
+                             "x1*a1^3*a2*b2*b3^2 + a3^4*b1^3"
+                             " + x2*x3*a1*a2*a3*b1*b2*b3^2"], 0),
+    "symbol-n2-order6": (["symbol", "--n", "2", "--lambda1", "1/3",
+                          "--lambda2=-1/5", "--mu", "2/7",
+                          "x1*a1^3*b2^3 + x2^2*a1*a2^2*b1^2*b2 + a2^6"
+                          " + x1*a1*b2 - 5"], 0),
+    # critical shift 3/2: the slot (0, 0) is free
+    "quantize-n2-free-slots": (["quantize", "--n", "2", "--lambda1", "0",
+                                "--lambda2", "0", "--mu", "3/2",
+                                "x1*a1^2*b1*b2 + a1*a2*b1*b2 + x2*a2^3*b1"], 0),
+    "quantize-n1": (["quantize", "--n", "1", "--lambda1", "1/3", "--lambda2",
+                     "1/5", "--mu", "1/7",
+                     "x1^3*a1^4*b1^2 + x1*a1*b1^3 + a1^2"], 0),
 }
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from projquant.casimir import casimir_eigenvalue, casimir_symbol, highest_weight_vector
 from projquant.densities import Context, SymbolPoly, lie_derivative_symbol
-from projquant.isotypic import decompose, isotypic_project, labels_for_degree
+from projquant.isotypic import (decompose, isotypic_project, labels_for_degree,
+                                projector_constants)
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.sampling import random_body
 from projquant.slbasis import sl_basis
 
-from oracles import ct_body_reference, decompose_reference
+from oracles import ct_body_reference, decompose_reference, project_fiber_reference
 
 
 def ctx_d(n, delta):
@@ -153,3 +154,81 @@ def test_fiber_monomial_kernels_match_whole_body_references(n, arity):
         shifted = decompose(SymbolPoly(body, other))
         assert {k: v.body for k, v in shifted.items()} == {
             k: v.body for k, v in parts.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projector_constants_are_lagrange_interpolants(n):
+    for degree in range(11):
+        gamma, D, coefficients = projector_constants(n, degree)
+        assert gamma == tuple(casimir_eigenvalue(n, 0, degree, q)
+                              for q in range(len(gamma)))
+        assert len(gamma) == len(labels_for_degree(ctx_d(n, 0), degree))
+        assert D > 0
+        # the interpolants sum to one
+        assert [sum(column) for column in zip(*coefficients)] == (
+            [D] + [0] * (len(gamma) - 1))
+        # D l_p(gamma_q) = D delta_pq
+        for p, row in enumerate(coefficients):
+            for q, gamma_q in enumerate(gamma):
+                value = sum(c * gamma_q ** k for k, c in enumerate(row))
+                assert value == (D if p == q else 0)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+          67, 71, 73, 79, 83, 89, 97, 101, 103)
+
+
+def homogeneous_parts(rng, n, arity, degrees, terms):
+    """A body with terms of each fiber degree, every coefficient over its own
+    prime denominator."""
+    dens = iter(PRIMES)
+    out = {}
+    for degree in degrees:
+        for _ in range(terms):
+            xa = [0] * n
+            for _ in range(rng.randint(0, 2)):
+                xa[rng.randrange(n)] += 1
+            aa = [0] * n
+            ba = [0] * n
+            for _ in range(degree):
+                target = aa if (arity == 1 or rng.random() < 0.5) else ba
+                target[rng.randrange(n)] += 1
+            den = next(dens)
+            out[(tuple(xa), tuple(aa), tuple(ba))] = Fraction(
+                rng.choice((-1, 1)) * rng.randint(1, den - 1 or 1), den)
+    return Poly(n, out)
+
+
+def fiberwise_reference(body, ctx):
+    """The decomposition assembled from project_fiber_reference, one term at
+    a time."""
+    out = {}
+    for (xa, aa, ba), c in body.terms.items():
+        degree = sum(aa) + sum(ba)
+        labels = labels_for_degree(ctx, degree)
+        gamma = [int(casimir_eigenvalue(ctx.n, 0, degree, q)) for _, q in labels]
+        for label, image in project_fiber_reference(aa, ba, labels, gamma, ctx.n):
+            terms = out.setdefault(label, {})
+            for a, b, k in image:
+                terms[(xa, a, b)] = terms.get((xa, a, b), 0) + c * k
+    pieces = {label: SymbolPoly(Poly(ctx.n, terms), ctx)
+              for label, terms in out.items()}
+    return dict(sorted((label, piece) for label, piece in pieces.items()
+                       if not piece.body.is_zero()))
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_krylov_projection_matches_lagrange_references(n, arity):
+    rng = random.Random(1000 + 10 * n + arity)
+    weights = (Fraction(2, 7), Fraction(-3, 11))[:arity]
+    ctx = Context.from_delta(n, weights, Fraction(5, 13))
+    # one decompose call: one memo shared by degrees 0..8 (up to 5 labels)
+    body = homogeneous_parts(rng, n, arity, range(9), 3)
+    assert len(body.fiber_parts()) == 9
+    sym = SymbolPoly(body, ctx)
+    parts = decompose(sym)
+    assert parts == fiberwise_reference(body, ctx)
+    assert parts == decompose_reference(sym)
+    zero = SymbolPoly(Poly.zero(n), ctx)
+    assert decompose(zero) == decompose_reference(zero) == {}
