@@ -12,9 +12,10 @@ tableau label q, `casimir_symbol` is the scalar
 
     n(n+1) d(d-1) - 2((n+1) d - n + q)(i) + 2 i^2 + 2 q(q-1)
 
-where d is the shift; `casimir_eigenvalue` evaluates it, `EigenvalueTable`
-holds it at one shift for a whole solve, and `highest_weight_vector`
-produces the canonical generator of each block.
+where d is the shift; `casimir_eigenvalue` evaluates it and
+`highest_weight_vector` produces the canonical generator of each block.
+The shift enters through n(n+1) d(d-1) - 2(n+1) d i alone, so a gap
+gamma(i, p) - gamma(j, q) is the shift-free gap minus 2(n+1) d (i - j).
 
 `fiber_casimir` is the kernel of `casimir_symbol` on one fiber monomial:
 the Casimir ignores x, so `casimir_symbol` maps each distinct fiber
@@ -73,21 +74,6 @@ def casimir_eigenvalue(n: int, delta, i: int, p: int) -> Fraction:
     """Eigenvalue of casimir_symbol on the (i, p) block."""
     check_label(n, i, p)
     return _eigenvalue(*_shift_scalars(n, as_fraction(delta)), i, p)
-
-
-class EigenvalueTable(dict):
-    """casimir_eigenvalue at one shift, keyed by admissible label (i, p).
-
-    The shift scalars are computed once, when the table is made, and each
-    entry on its first lookup; one table serves a whole solve."""
-
-    def __init__(self, n: int, delta):
-        super().__init__()
-        self._scalars = _shift_scalars(n, as_fraction(delta))
-
-    def __missing__(self, label) -> Fraction:
-        value = self[label] = _eigenvalue(*self._scalars, *label)
-        return value
 
 
 def highest_weight_vector(k: int, l: int, q: int, ctx: Context) -> SymbolPoly:

@@ -34,11 +34,12 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 SCAN_ORDER_LIMIT = 64
 
 # Highest fiber degree that quantize and symbol accept: a backstop on the
-# degree only, since the cost also grows with n and the x-degree.  At n=3
-# the slowest x-free monomial found at degree 64,
-# a1^11*a2^11*a3^10*b1^10*b2^11*b3^11, took 4.3 s, and
-# a1^30*a2^30*b2^30*b3^30 (degree 120) took 33 s; at n=2 a1^64 takes
-# 0.02 s and a1^800 3.2 s.
+# degree only, since the cost also grows with n and the x-degree.  In
+# process (Python 3.11, shared 2-vCPU host), at n=3 the x-free
+# a1^11*a2^11*a3^10*b1^10*b2^11*b3^11 (degree 64) takes 0.5 s,
+# a1^30*a2^30*b2^30*b3^30 (degree 120) 4.5 s and
+# x1^2*x2*a1^6*a2^6*b2^6*b3^6 (degree 24) 3.6-4.4 s; at n=2 a1^64 takes
+# 0.01 s and a1^800 6.8 s.
 SOLVE_DEGREE_LIMIT = 64
 
 # Highest --n that quantize and symbol accept, checked before the expression

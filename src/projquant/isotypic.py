@@ -11,20 +11,20 @@ common denominator D of the interpolants and the integer coefficients of
 each D l_p(t); it is the only thing cached across calls.
 
 The symbol Casimir leaves x alone, so the projection works per fiber
-monomial: P(x^s m) = x^s P(m).  Each distinct fiber monomial m is projected
-once, in integer arithmetic: its Krylov vectors m, Cm, ..., C^(L-1) m (L
-labels) are combined with the coefficients of each D l_p, and the last
-label takes the remainder D m minus the others.  The integer images over D
-go into a plain dict memo.  A memo lives for one top-level call
-(`decompose`, `quantize`, `symbol_map`) and is shared by every degree, level
-and component of it.  `decompose_body` reads the body as integer numerators
-over one denominator and builds each output coefficient once.
+monomial: P(x^s m) = x^s P(m).  One integer kernel, `_combine`, applies
+rows of weights to the Krylov vectors m, Cm, ..., C^(L-1) m (L labels) of
+each distinct fiber monomial m of a body: the rows of D l_p for
+`decompose_body`, the resolvent row for the level solve of
+`projquant.quantization`.  The Krylov vectors go into a plain dict memo,
+which lives for one top-level call (`decompose`, `quantize`, `symbol_map`)
+and is shared by every degree, level and component of it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import lcm, prod
 
 from .casimir import (LabelRangeError, SpectralLabel, casimir_eigenvalue,
                       fiber_casimir, tableau_labels)
@@ -49,87 +49,77 @@ def projector_constants(n: int, degree: int) -> tuple:
     D = lcm_p prod_{q != p} (gamma_p - gamma_q) is the common denominator of
     the Lagrange basis polynomials l_p(t) = prod_{q != p} (t - gamma_q) /
     (gamma_p - gamma_q), and coefficients[p] lists the integer coefficients
-    of D l_p(t), constant term first."""
+    of D l_p(t), constant term first.  Each numerator is the master
+    polynomial prod_q (t - gamma_q) divided by t - gamma_p, synthetically."""
     gamma = tuple(int(casimir_eigenvalue(n, 0, degree, q))
                   for q in tableau_labels(n, degree))
+    master = [1]
+    for gamma_q in gamma:
+        master = [a - gamma_q * b for a, b in zip([0] + master, master + [0])]
     products = []
     for p, gamma_p in enumerate(gamma):
-        poly = [1]
-        den = 1
-        for q, gamma_q in enumerate(gamma):
-            if q != p:
-                poly = [a - gamma_q * b for a, b in zip([0] + poly, poly + [0])]
-                den *= gamma_p - gamma_q
-        products.append((poly, den))
+        quotient = list(accumulate(reversed(master[1:]),
+                                   lambda carry, c: c + gamma_p * carry))
+        den = prod(gamma_p - gamma_q for q, gamma_q in enumerate(gamma) if q != p)
+        products.append((quotient[::-1], den))
     D = lcm(*(den for _, den in products))
     return gamma, D, tuple(tuple(c * (D // den) for c in poly)
                            for poly, den in products)
 
 
-def _project_fiber(u: tuple[int, ...], v: tuple[int, ...],
-                   labels: tuple[SpectralLabel, ...], D: int,
-                   coefficients: tuple, n: int) -> list:
-    """Isotypic pieces of the fiber monomial a^u b^v, times D, as
-    (label, ((u', v', integer), ...)) with zero pieces omitted.
+def _combine(body: Poly, rows: list, n: int, memo: dict) -> tuple[list, int]:
+    """sum_k row[k] C^k body for each row of length L, C the shift-free
+    Casimir, as integer numerators over the body's denominator.
 
-    The Krylov vectors m, Cm, ..., C^(L-1) m of the shift-free Casimir C
-    (L labels) take L - 1 Casimir applications; every label but the last is
-    their combination with the coefficients of D l_p, and the last is the
-    remainder D m minus the others, since the interpolants sum to one."""
+    memo maps fiber monomials m to their Krylov vectors; share it across the
+    calls for one context.  Each row is combined once per m and accumulated
+    over the x monomials that carry m."""
+    terms, den = _numerators(body.terms)
+    fibers: dict = {}
+    for (xa, aa, ba), c in terms.items():
+        fibers.setdefault((aa, ba), []).append((xa, c))
     euler = 2 * (n + 1)
-    krylov = [{(u, v): 1}]
-    for _ in labels[1:]:
-        step: dict = {}
-        for (u1, v1), c in krylov[-1].items():
-            for u2, v2, k in fiber_casimir(u1, v1, 0, euler):
-                step[(u2, v2)] = step.get((u2, v2), 0) + c * k
-        krylov.append(step)
-    pieces = []
-    rest = {(u, v): D}
-    for label in labels[:-1]:
-        num: dict = {}
-        for k, vector in zip(coefficients[label.p], krylov):
-            for key, c in vector.items():
-                num[key] = num.get(key, 0) + k * c
-        image = tuple((a, b, c) for (a, b), c in num.items() if c)
-        if image:
-            pieces.append((label, image))
-            for a, b, c in image:
-                rest[(a, b)] = rest.get((a, b), 0) - c
-    last = tuple((a, b, c) for (a, b), c in rest.items() if c)
-    if last:
-        pieces.append((labels[-1], last))
-    return pieces
+    outs: list = [{} for _ in rows]
+    for fiber, carriers in fibers.items():
+        krylov = memo.get(fiber)
+        if krylov is None:
+            krylov = [{fiber: 1}]
+            for _ in rows[0][1:]:
+                step: dict = {}
+                for (u1, v1), c in krylov[-1].items():
+                    for u2, v2, k in fiber_casimir(u1, v1, 0, euler):
+                        step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+                krylov.append(step)
+            memo[fiber] = krylov
+        for row, out in zip(rows, outs):
+            num: dict = {}
+            for k, vector in zip(row, krylov):
+                for key, c in vector.items():
+                    num[key] = num.get(key, 0) + k * c
+            image = [(a, b, c) for (a, b), c in num.items() if c]
+            for xa, c in carriers:
+                for a, b, k in image:
+                    key = (xa, a, b)
+                    out[key] = out.get(key, 0) + c * k
+    return outs, den
 
 
 def decompose_body(body: Poly, degree: int, ctx: Context,
                    memo: dict) -> dict[SpectralLabel, Poly]:
     """Isotypic pieces of a homogeneous body; zero pieces are omitted.
 
-    memo maps fiber monomials to their integer pieces over D; pass the same
-    dict to every call made for one context to project each fiber monomial
-    only once.  The body is read as integer numerators over one
-    denominator, and each output coefficient is built once."""
+    Each piece is the combination of the Krylov vectors with the
+    coefficients of D l_p (`_combine`, sharing memo), over D times the
+    body's denominator."""
     if body.is_zero():
         return {}
     labels = labels_for_degree(ctx, degree)
     if len(labels) == 1:
         return {labels[0]: body}
     _, D, coefficients = projector_constants(ctx.n, degree)
-    terms, den = _numerators(body.terms)
-    acc: dict[SpectralLabel, dict] = {label: {} for label in labels}
-    for (xa, aa, ba), c in terms.items():
-        pieces = memo.get((aa, ba))
-        if pieces is None:
-            pieces = memo[(aa, ba)] = _project_fiber(aa, ba, labels, D,
-                                                     coefficients, ctx.n)
-        for label, image in pieces:
-            out = acc[label]
-            for a, b, k in image:
-                key = (xa, a, b)
-                out[key] = out.get(key, 0) + c * k
+    outs, den = _combine(body, coefficients, ctx.n, memo)
     parts = {}
-    for label, out in acc.items():
+    for label, out in zip(labels, outs):
         piece = _poly(ctx.n, out, D * den)
         if not piece.is_zero():
             parts[label] = piece

@@ -2,13 +2,14 @@
 
 `quantize` prolongs each isotypic component of a symbol into an eigenvector
 of the operator Casimir by solving the triangular system level by level: at
-each lower degree the correction of the previous level is decomposed and
-divided by the eigenvalue gap.  A vanishing gap with a vanishing right-hand
-side leaves the component free; it is set to zero and recorded as a free
-slot.  A vanishing gap with a non-vanishing right-hand side is a genuine
-obstruction and is reported with the exact offending component, so weight
-conditions for solvability can be read off from the error rather than being
-hard-coded.
+each lower degree every piece of the correction is divided by its
+eigenvalue gap, taken from the shift-free eigenvalues gamma0: by Sylvester's
+formula that is one resolvent combination of Krylov vectors per level.  A
+vanishing gap with a vanishing right-hand side leaves the component free;
+it is set to zero and recorded as a free slot.  A vanishing gap with a
+non-vanishing right-hand side is a genuine obstruction and is reported with
+the exact offending component, so weight conditions for solvability can be
+read off from the error rather than being hard-coded.
 
 `symbol_map` inverts the construction by top-down peeling: quantize the
 principal part, subtract, recurse.
@@ -23,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .casimir import EigenvalueTable, SpectralLabel, _nc_body
-from .densities import ArityError, BidiffOp, Context, SymbolPoly
-from .isotypic import decompose_body, labels_for_degree
+from .casimir import SpectralLabel, _eigenvalue, _nc_body
+from .densities import ArityError, BidiffOp, Context, SymbolPoly, _poly
+from .isotypic import (_combine, decompose_body, labels_for_degree,
+                       projector_constants)
 from .poly import ALPHA, BETA, Poly, as_fraction
 
 
@@ -74,41 +77,56 @@ class SymbolMapResult:
 
 
 def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
-                       memo: dict, gammas: EigenvalueTable,
-                       free_slots: set[SpectralLabel]) -> Poly:
-    """Solve the triangular system below one eigencomponent."""
+                       memo: dict, free_slots: set[SpectralLabel]) -> Poly:
+    """Solve the triangular system below one eigencomponent.
+
+    At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
+    gamma0 less 2(n+1) delta (i - j).  The level sum_q pi_q(correction) /
+    gap_q is one integer row of Krylov weights; each zero gap adds the row
+    of its pi_q, whose image is a free slot or the obstruction."""
     n = ctx.n
-    gamma = gammas[label]
-    total = body
-    current = body
+    gamma = _eigenvalue(0, -n, *label)
+    step = 2 * (n + 1) * ctx.delta
+    total = current = body
     for j in range(label.i - 1, -1, -1):
-        correction = _nc_body(current, ctx)
-        parts = decompose_body(correction, j, ctx, memo)
-        level = Poly.zero(n)
-        for lab in labels_for_degree(ctx, j):
-            gap = gamma - gammas[lab]
-            piece = parts.get(lab)
-            if gap == 0:
-                if piece is None:
-                    free_slots.add(lab)
-                else:
-                    raise ObstructionError(label, lab, SymbolPoly(piece, ctx))
-            elif piece is not None:
-                level = level + piece.scale(1 / gap)
-        total = total + level
-        current = level
+        s = gamma - step * (label.i - j)
+        labels = labels_for_degree(ctx, j)
+        current = _nc_body(current, ctx)
+        if current.is_zero():
+            free_slots.update(lab for lab in labels
+                              if _eigenvalue(0, -n, *lab) == s)
+            continue
+        if len(labels) == 1:  # arity one, n = 1 or j < 2: no projection
+            D, coefficients = 1, ((1,),)
+        else:
+            _, D, coefficients = projector_constants(n, j)
+        gaps = [s - _eigenvalue(0, -n, *lab) for lab in labels]
+        E = lcm(*(gap.numerator for gap in gaps if gap))
+        weights = [E // gap.numerator * gap.denominator if gap else 0
+                   for gap in gaps]
+        row = [sum(w * c for w, c in zip(weights, column))
+               for column in zip(*coefficients)]
+        resonant = [q for q, gap in enumerate(gaps) if not gap]
+        outs, den = _combine(current, [row] + [coefficients[q] for q in resonant],
+                             n, memo)
+        for q, out in zip(resonant, outs[1:]):
+            piece = _poly(n, out, D * den)
+            if not piece.is_zero():
+                raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
+            free_slots.add(labels[q])
+        current = _poly(n, outs[0], D * E * den)
+        total = total + current
     return total
 
 
 def _quantize_body(body: Poly, ctx: Context, memo: dict,
-                   gammas: EigenvalueTable,
                    free_slots: set[SpectralLabel]) -> Poly:
     """Prolong every isotypic component of a symbol body and sum."""
     ctx.fiber_families()  # arity must be representable
     total = Poly.zero(ctx.n)
     for degree, part in sorted(body.fiber_parts().items(), reverse=True):
         for label, piece in sorted(decompose_body(part, degree, ctx, memo).items()):
-            total = total + _prolong_component(piece, label, ctx, memo, gammas,
+            total = total + _prolong_component(piece, label, ctx, memo,
                                                free_slots)
     return total
 
@@ -118,28 +136,26 @@ def quantize(sym: SymbolPoly) -> QuantizationResult:
 
     Sources of different degrees and labels are processed independently and
     summed; the principal part of the result equals the input.  One
-    projection memo and one eigenvalue table serve the whole call."""
+    Krylov memo serves the whole call."""
     ctx = sym.context
     free_slots: set[SpectralLabel] = set()
-    total = _quantize_body(sym.body, ctx, {}, EigenvalueTable(ctx.n, ctx.delta),
-                           free_slots)
+    total = _quantize_body(sym.body, ctx, {}, free_slots)
     return QuantizationResult(BidiffOp(total, sym.context), frozenset(free_slots))
 
 
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
     """Inverse of quantize, by principal-part peeling; every peeling step
-    shares one projection memo and one eigenvalue table."""
+    shares one Krylov memo."""
     ctx = op.context
     remaining = op.body
     collected = Poly.zero(ctx.n)
     free_slots: set[SpectralLabel] = set()
     memo: dict = {}
-    gammas = EigenvalueTable(ctx.n, ctx.delta)
     while not remaining.is_zero():
         degree = remaining.fiber_degree()
         top = remaining.fiber_parts()[degree]
         collected = collected + top
-        remaining = remaining - _quantize_body(top, ctx, memo, gammas, free_slots)
+        remaining = remaining - _quantize_body(top, ctx, memo, free_slots)
         if not remaining.is_zero() and remaining.fiber_degree() >= degree:
             raise AssertionError("peeling failed to lower the order")
     return SymbolMapResult(SymbolPoly(collected, ctx), frozenset(free_slots))

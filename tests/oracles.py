@@ -15,6 +15,9 @@ differences.
 The reference degree-lowering correction is the engine's former
 composition of whole-body `eta_contract`, `euler` and scaling.
 
+`quantize_reference` and `symbol_map_reference` run the engine's former
+level loop: decompose each correction, then add piece / gap label by label.
+
 The reference resonance scans are the engine's former hand-written nests
 over (i, p, j, q), with the label rule written out and every shift taken
 from the checked `resonant_delta`.
@@ -42,6 +45,7 @@ from projquant.densities import (ArityError, BidiffOp, Context, Density,
                                  SymbolPoly, VectorField, WeightMismatchError)
 from projquant.isotypic import labels_for_degree
 from projquant.parsing import ParseError
+from projquant.quantization import ObstructionError
 from projquant.slbasis import sl_basis
 from projquant.poly import (ALPHA, BETA, DimensionMismatchError, Poly, X,
                             multi_indices)
@@ -167,6 +171,59 @@ def decompose_reference(sym: SymbolPoly) -> dict:
             if not piece.is_zero():
                 out[label] = SymbolPoly(piece, sym.context)
     return dict(sorted(out.items()))
+
+
+def _prolong_reference(body: Poly, label, ctx: Context,
+                       free_slots: set) -> Poly:
+    """The triangular system below one eigencomponent, level by level: each
+    correction is split by `project_reference`, and every piece is divided
+    by its own gap, from `casimir_eigenvalue` at the context's shift."""
+    gamma = casimir_eigenvalue(ctx.n, ctx.delta, *label)
+    total = current = body
+    for j in range(label.i - 1, -1, -1):
+        correction = nc_body_reference(current, ctx)
+        current = Poly.zero(ctx.n)
+        for lab in labels_for_degree(ctx, j):
+            gap = gamma - casimir_eigenvalue(ctx.n, ctx.delta, *lab)
+            piece = project_reference(correction, j, lab.p, ctx)
+            if gap == 0:
+                if not piece.is_zero():
+                    raise ObstructionError(label, lab, SymbolPoly(piece, ctx))
+                free_slots.add(lab)
+            elif not piece.is_zero():
+                current = current + piece.scale(1 / gap)
+        total = total + current
+    return total
+
+
+def _quantize_body_reference(body: Poly, ctx: Context, free_slots: set) -> Poly:
+    total = Poly.zero(ctx.n)
+    parts = decompose_reference(SymbolPoly(body, ctx))
+    for label in sorted(parts, key=lambda label: (-label.i, label.p)):
+        piece = parts[label]
+        total = total + _prolong_reference(piece.body, label, ctx, free_slots)
+    return total
+
+
+def quantize_reference(sym: SymbolPoly) -> tuple:
+    """(operator body, free slots) of the engine's former per-label level
+    loop; raises ObstructionError as `quantize` does."""
+    free_slots: set = set()
+    return _quantize_body_reference(sym.body, sym.context, free_slots), free_slots
+
+
+def symbol_map_reference(op: BidiffOp) -> tuple:
+    """(symbol body, free slots) by principal-part peeling over
+    `quantize_reference`."""
+    ctx = op.context
+    remaining = op.body
+    collected = Poly.zero(ctx.n)
+    free_slots: set = set()
+    while not remaining.is_zero():
+        top = remaining.fiber_parts()[remaining.fiber_degree()]
+        collected = collected + top
+        remaining = remaining - _quantize_body_reference(top, ctx, free_slots)
+    return collected, free_slots
 
 
 def _top_label(n: int, i: int) -> int:

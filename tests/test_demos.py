@@ -57,6 +57,19 @@ CLI_CASES = {
     "quantize-n1": (["quantize", "--n", "1", "--lambda1", "1/3", "--lambda2",
                      "1/5", "--mu", "1/7",
                      "x1^3*a1^4*b1^2 + x1*a1*b1^3 + a1^2"], 0),
+    # shift 2: the label q = 1 at degree 2 is resonant with (3, 1), which
+    # leaves the slot (2, 1) free below an x-free source and obstructs
+    # below x1 times it
+    "quantize-n2-free-slot-q1": (["quantize", "--n", "2", "--lambda1", "0",
+                                  "--lambda2", "0", "--mu", "2",
+                                  "(a1*b2 - a2*b1)*a1"], 0),
+    "quantize-n2-obstruction-q1": (["quantize", "--n", "2", "--lambda1", "0",
+                                    "--lambda2", "0", "--mu", "2",
+                                    "x1*(a1*b2 - a2*b1)*a1"], 2),
+    # fiber degree 16 at n = 3: nine labels, (16, 0) to (16, 8)
+    "quantize-n3-degree16": (["quantize", "--n", "3", "--lambda1", "1/3",
+                              "--lambda2", "1/5", "--mu", "1/7",
+                              "x1^2*x2*a1^4*a2^4*b2^4*b3^4"], 0),
 }
 
 

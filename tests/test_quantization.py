@@ -10,7 +10,7 @@ from projquant.densities import (ArityError, BidiffOp, Context, Density,
                                  SymbolPoly, apply_operator,
                                  lie_derivative_operator,
                                  lie_derivative_symbol)
-from projquant.isotypic import decompose
+from projquant.isotypic import decompose, projector_constants
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.quantization import (CriticalShiftError, ObstructionError,
@@ -18,10 +18,12 @@ from projquant.quantization import (CriticalShiftError, ObstructionError,
                                     order2_critical_family, quantize,
                                     quantize_order2_closed, symbol_map, t1,
                                     t2, tau_maps)
-from projquant.sampling import (generic_context, random_density,
+from projquant.sampling import (generic_context, random_body, random_density,
                                 random_operator, random_symbol,
                                 random_vector_field, random_x_poly)
 from projquant.slbasis import basis_fields
+
+from oracles import quantize_reference, symbol_map_reference
 
 N = 2
 
@@ -558,3 +560,81 @@ def test_arity_above_two_rejected():
     ctx = Context(2, (Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
     with pytest.raises(ArityError):
         quantize(SymbolPoly(parse_poly("a1", 2), ctx))
+
+
+def _engine_quantize(sym):
+    result = quantize(sym)
+    return result.operator.body, result.free_slots
+
+
+def _engine_symbol_map(op):
+    result = symbol_map(op)
+    return result.symbol.body, result.free_slots
+
+
+def _outcome(solve, arg):
+    """(body, free slots), or (source, blocked, exact component) of the
+    obstruction."""
+    try:
+        body, free_slots = solve(arg)
+    except ObstructionError as err:
+        return err.source, err.blocked, err.obstruction.body
+    return body, frozenset(free_slots)
+
+
+def _assert_matches_per_label_reference(body, ctx):
+    sym_in, op_in = SymbolPoly(body, ctx), BidiffOp(body, ctx)
+    expected = _outcome(quantize_reference, sym_in)
+    assert _outcome(_engine_quantize, sym_in) == expected
+    assert _outcome(_engine_symbol_map, op_in) == _outcome(
+        symbol_map_reference, op_in)
+    return expected
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_resolvent_level_solve_matches_per_label_reference(n, arity):
+    rng = random.Random(10 * n + arity)
+    ctx = generic_context(rng, n, 5, arity)
+    for _ in range(2):
+        body = random_body(rng, n, 5, 3, arity, terms=6)
+        _, free_slots = _assert_matches_per_label_reference(body, ctx)
+        assert not free_slots
+
+
+def test_resolvent_level_solve_matches_reference_at_a_resonant_label():
+    """Shift 2 at n = 2 with vanishing weights: the gap from (3, 1) to
+    (2, 1) vanishes.  The x-free source leaves the slot free; x1 times it
+    meets a nonzero correction there and obstructs."""
+    ctx = Context(N, (Fraction(0), Fraction(0)), Fraction(2))
+    det = "(a1*b2 - a2*b1)*a1"
+    assert _assert_matches_per_label_reference(parse_poly(det, N), ctx) == (
+        parse_poly(det, N), frozenset({(2, 1)}))
+    source, blocked, component = _assert_matches_per_label_reference(
+        parse_poly(f"x1*{det}", N), ctx)
+    assert (source, blocked) == ((3, 1), (2, 1))
+    assert component == parse_poly("3*a1*b2 - 3*a2*b1", N)
+
+
+def test_resolvent_level_solve_matches_reference_at_a_missed_resonance():
+    """Shift 1 at n = 2 with vanishing weights: the gap from (6, 2) to
+    (5, 0) vanishes, and the correction at degree 5 is nonzero but has no
+    (5, 0) piece, so the slot is free and the other labels are solved."""
+    ctx = Context(N, (Fraction(0), Fraction(0)), Fraction(1))
+    body = parse_poly("x2*(a1*b2 - a2*b1)^2*a1^2", N)
+    operator, free_slots = _assert_matches_per_label_reference(body, ctx)
+    assert free_slots == {(5, 0)}
+    assert operator.fiber_parts()[5]
+
+
+def test_high_degree_x_free_symbol_is_its_own_quantization():
+    """a1^400 at n = 2 has 201 labels at its degree and a zero correction
+    at each of its 400 levels.  Projector constants built in more than
+    O(L^2), or fetched at levels whose correction is zero, make this test
+    slow."""
+    projector_constants.cache_clear()
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    body = parse_poly("a1^400", N)
+    result = quantize(SymbolPoly(body, ctx))
+    assert result.operator.body == body
+    assert result.unique
