@@ -7,24 +7,22 @@ it decomposes as casimir_symbol plus the degree-lowering correction
 `casimir_correction`.  The decomposition identity is verified exactly in the
 test suite rather than assumed.
 
-On the block of homogeneous symbols of total fiber degree i with two-line
-tableau label q, `casimir_symbol` is the scalar
+The shift-free Casimir C0 (`fiber_casimir`, per fiber monomial, integer
+coefficients) has the eigenvalue gamma0(i, p) = 2(i^2 + (n - p) i + p(p - 1))
+on the block of total fiber degree i and two-line tableau label p
+(`shift_free_eigenvalue`).  The shift d adds the one scalar
+n(n+1) d(d-1) - 2(n+1) d i on the whole degree-i part (`_shift_part`), so
+`casimir_eigenvalue` is gamma0 plus that scalar, `casimir_symbol` is C0
+plus it on each fiber degree, and a gap gamma(i, p) - gamma(j, q) is the
+shift-free gap minus 2(n+1) d (i - j).  `highest_weight_vector` produces
+the canonical generator of each block.
 
-    n(n+1) d(d-1) - 2((n+1) d - n + q)(i) + 2 i^2 + 2 q(q-1)
-
-where d is the shift; `casimir_eigenvalue` evaluates it and
-`highest_weight_vector` produces the canonical generator of each block.
-The shift enters through n(n+1) d(d-1) - 2(n+1) d i alone, so a gap
-gamma(i, p) - gamma(j, q) is the shift-free gap minus 2(n+1) d (i - j).
-
-`fiber_casimir` is the kernel of `casimir_symbol` on one fiber monomial:
-the Casimir ignores x, so `casimir_symbol` maps each distinct fiber
-monomial of a body once, in one pass over the terms.  With its shift
-scalars set to zero it is the shift-free operator whose Krylov vectors
-`projquant.isotypic` combines into its projectors, one fiber monomial at a
-time and memoised per solve.  `casimir_correction` is likewise one pass
-over the terms: each term maps to at most n images per fiber family, with
-no intermediate Poly.
+C0 ignores x, so one integer kernel, `_combine`, applies rows of weights to
+the Krylov vectors m, C0 m, C0^2 m, ... of each distinct fiber monomial m of
+a body: the row [sigma.numerator, sigma.denominator] for `casimir_symbol`,
+the projector rows of `projquant.isotypic` and the resolvent row of the
+level solve in `projquant.quantization`.  `casimir_correction` is one pass
+over the terms: each term maps to at most n images per fiber family.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, TypeVar, Union
 
-from .densities import BidiffOp, Context, SymbolPoly, lie_derivative_operator, lie_derivative_symbol
+from .densities import (BidiffOp, Context, SymbolPoly, _numerators, _poly,
+                        lie_derivative_operator, lie_derivative_symbol)
 from .poly import ALPHA, BETA, Poly, as_fraction
 from .slbasis import sl_basis
 
@@ -61,19 +60,22 @@ def check_label(n: int, i: int, p: int):
         raise LabelRangeError(f"label ({i},{p}) is not admissible when n={n}")
 
 
-def _shift_scalars(n: int, d: Fraction) -> tuple[Fraction, Fraction]:
-    """The parts of the eigenvalue that depend on the shift alone."""
-    return n * (n + 1) * d * (d - 1), (n + 1) * d - n
+def shift_free_eigenvalue(n: int, i: int, p: int) -> int:
+    """gamma0(i, p) = 2(i^2 + (n - p) i + p(p - 1)), the eigenvalue of the
+    shift-free Casimir `fiber_casimir` on the (i, p) block; labels are not
+    checked."""
+    return 2 * (i * i + (n - p) * i + p * (p - 1))
 
 
-def _eigenvalue(base: Fraction, slope: Fraction, i: int, p: int) -> Fraction:
-    return base - 2 * (slope + p) * i + 2 * i * i + 2 * p * (p - 1)
+def _shift_part(n: int, d: Fraction, i: int) -> Fraction:
+    """What the shift d adds to every eigenvalue at total degree i."""
+    return n * (n + 1) * d * (d - 1) - 2 * (n + 1) * d * i
 
 
 def casimir_eigenvalue(n: int, delta, i: int, p: int) -> Fraction:
     """Eigenvalue of casimir_symbol on the (i, p) block."""
     check_label(n, i, p)
-    return _eigenvalue(*_shift_scalars(n, as_fraction(delta)), i, p)
+    return shift_free_eigenvalue(n, i, p) + _shift_part(n, as_fraction(delta), i)
 
 
 def highest_weight_vector(k: int, l: int, q: int, ctx: Context) -> SymbolPoly:
@@ -95,22 +97,20 @@ def highest_weight_vector(k: int, l: int, q: int, ctx: Context) -> SymbolPoly:
 _OpOrSym = TypeVar("_OpOrSym", bound=Union[SymbolPoly, BidiffOp])
 
 
-def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], base, euler) -> list:
-    """Degree-preserving Casimir of the fiber monomial a^u b^v, as a list of
-    (u', v', coefficient) with zero terms omitted.
+def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], n: int) -> list:
+    """Shift-free Casimir C0 of the fiber monomial a^u b^v, as a list of
+    (u', v', coefficient) with zero terms omitted; the coefficients are
+    integers.
 
-    base and euler are the context scalars n(n+1)d(d-1) and 2(n+1)(1-d);
-    with base 0 and euler 2(n+1) the result is shift-free, with integer
-    coefficients: the operator C whose Krylov vectors m, Cm, C^2 m, ...
-    the isotypic projectors combine.  Of the terms
-    xi_ki xi_lj D_l. D_k. (families k, l; indices i, j) only those moving
-    one a-index j to i and one b-index i to j, i != j, change the monomial,
-    each move carrying 2 u_j v_i.  The rest restore the monomial and sum to
-    deg^2 - 2 deg + |u|^2 + |v|^2 + 2 u.v on the diagonal."""
+    Of the terms xi_ki xi_lj D_l. D_k. (families k, l; indices i, j) only
+    those moving one a-index j to i and one b-index i to j, i != j, change
+    the monomial, each move carrying 2 u_j v_i.  The rest restore the
+    monomial and, with the Euler term 2(n+1) deg, sum to
+    deg^2 + 2n deg + |u|^2 + |v|^2 + 2 u.v on the diagonal."""
     ua = sum(u)
     vb = sum(v)
     deg = ua + vb
-    diag = (base + euler * deg + deg * deg - 2 * deg + ua * ua + vb * vb
+    diag = (deg * deg + 2 * n * deg + ua * ua + vb * vb
             + 2 * sum(x * y for x, y in zip(u, v) if x))
     out = [(u, v, diag)] if diag else []
     for j, uj in enumerate(u):
@@ -128,28 +128,57 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], base, euler) -> list:
     return out
 
 
-def _ct_body(body: Poly, ctx: Context) -> Poly:
-    ctx.fiber_families()  # arity must be representable
-    n = ctx.n
-    base, slope = _shift_scalars(n, ctx.delta)
-    euler = 2 * (1 - slope)
-    images: dict = {}
-    terms: dict = {}
-    for (xa, aa, ba), c in body.terms.items():
-        image = images.get((aa, ba))
-        if image is None:
-            image = images[(aa, ba)] = fiber_casimir(aa, ba, base, euler)
-        for a2, b2, k in image:
-            key = (xa, a2, b2)
-            terms[key] = terms.get(key, 0) + c * k
-    return Poly._trusted(n, {key: c for key, c in terms.items() if c})
+def _combine(body: Poly, rows: list, n: int, memo: dict) -> tuple[list, int]:
+    """sum_k row[k] C0^k body for each row of length L, as integer
+    numerators over the body's denominator.
+
+    memo maps fiber monomials m to their Krylov vectors m, C0 m, ...,
+    C0^(L-1) m; share it across the calls whose rows have one length per
+    fiber degree.  Each row is combined once per m and accumulated over the
+    x monomials that carry m."""
+    terms, den = _numerators(body.terms)
+    fibers: dict = {}
+    for (xa, aa, ba), c in terms.items():
+        fibers.setdefault((aa, ba), []).append((xa, c))
+    outs: list = [{} for _ in rows]
+    for fiber, carriers in fibers.items():
+        krylov = memo.get(fiber)
+        if krylov is None:
+            krylov = [{fiber: 1}]
+            for _ in rows[0][1:]:
+                step: dict = {}
+                for (u1, v1), c in krylov[-1].items():
+                    for u2, v2, k in fiber_casimir(u1, v1, n):
+                        step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+                krylov.append(step)
+            memo[fiber] = krylov
+        for row, out in zip(rows, outs):
+            num: dict = {}
+            for k, vector in zip(row, krylov):
+                for key, c in vector.items():
+                    num[key] = num.get(key, 0) + k * c
+            image = [(a, b, c) for (a, b), c in num.items() if c]
+            for xa, c in carriers:
+                for a, b, k in image:
+                    key = (xa, a, b)
+                    out[key] = out.get(key, 0) + c * k
+    return outs, den
 
 
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
-    """Degree-preserving closed form: acts on fiber variables only, so it is
-    transparent to the x coefficients and is computed once per distinct
-    fiber monomial of the body."""
-    return type(arg)(_ct_body(arg.body, arg.context), arg.context)
+    """Degree-preserving closed form: C0 plus the shift part sigma on each
+    fiber degree, one `_combine` with the row [sigma.numerator,
+    sigma.denominator], so each distinct fiber monomial is mapped once."""
+    ctx = arg.context
+    ctx.fiber_families()  # arity must be representable
+    n = ctx.n
+    terms: dict = {}
+    for degree, part in arg.body.fiber_parts().items():
+        sigma = _shift_part(n, ctx.delta, degree)
+        (out,), den = _combine(part, [(sigma.numerator, sigma.denominator)],
+                               n, {})
+        terms.update(_poly(n, out, sigma.denominator * den).terms)
+    return type(arg)(Poly._trusted(n, terms), ctx)
 
 
 def _nc_body(body: Poly, ctx: Context) -> Poly:

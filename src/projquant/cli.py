@@ -125,9 +125,9 @@ def _emit(payload, as_json: bool, text_lines) -> None:
             print(line)
 
 
-def _check_order(max_order: int) -> None:
-    if not 0 <= max_order <= SCAN_ORDER_LIMIT:
-        raise UsageError(f"scan limit: --max-order must be in 0..{SCAN_ORDER_LIMIT}")
+def _check_order(max_order: int, least: int) -> None:
+    if not least <= max_order <= SCAN_ORDER_LIMIT:
+        raise UsageError(f"scan limit: --max-order must be in {least}..{SCAN_ORDER_LIMIT}")
 
 
 def _check_verify_size(n: int, max_order: int) -> None:
@@ -146,7 +146,7 @@ def _check_shift(n: int, shift: Fraction) -> None:
 
 def _cmd_spectrum(args) -> int:
     delta = parse_rational(args.delta)
-    _check_order(args.max_order)
+    _check_order(args.max_order, 0)
     rows = [[i, p, str(casimir_eigenvalue(args.n, delta, i, p))]
             for i in range(args.max_order + 1)
             for p in tableau_labels(args.n, i)]
@@ -173,7 +173,7 @@ def _cmd_critical(args) -> int:
 
 def _cmd_resonances(args) -> int:
     delta = parse_rational(args.delta)
-    _check_order(args.max_order)
+    _check_order(args.max_order, 1)
     _check_shift(args.n, delta)
     result = classify_shift(args.n, delta, args.max_order)
     payload = {

@@ -145,12 +145,6 @@ class VectorField:
     def n(self) -> int:
         return self.components[0].n
 
-    def divergence(self) -> Poly:
-        out = Poly.zero(self.n)
-        for i, comp in enumerate(self.components):
-            out = out + comp.diff(X, i + 1)
-        return out
-
     def x_degree(self) -> int:
         return max(c.degree(X) for c in self.components)
 
@@ -189,9 +183,6 @@ class BidiffOp:
     @property
     def order(self) -> int:
         return self.body.fiber_degree()
-
-    def polynomial_form(self) -> SymbolPoly:
-        return SymbolPoly(self.body, self.context)
 
 
 # ----------------------------------------------------------------------

@@ -2,22 +2,24 @@
 
 A homogeneous symbol of total fiber degree i splits into components labelled
 (i, p) with p up to floor(i/2) (only p = 0 in dimension one or at arity
-one).  The projectors are the Lagrange interpolants l_p(C) of the shift-free
-symbol Casimir C: the eigenvalue differences 2 (p - q)(p + q - 1 - i) do not
-depend on the shift, so any context shift yields the same operator.
+one).  The projectors are the Lagrange interpolants l_p(C0) of the
+shift-free Casimir C0 on its eigenvalues gamma0(i, p), the nodes: the shift
+adds one scalar to the whole degree-i part, so any context shift yields the
+same operator.
 
-`projector_constants` holds, per (n, i), the shift-free eigenvalues, the
-common denominator D of the interpolants and the integer coefficients of
-each D l_p(t); it is the only thing cached across calls.
+`projector_constants` holds, per tuple of nodes, the common denominator D
+of the interpolants and the integer coefficients of each D l_p(t); it is
+the only thing cached across calls.  A single node, at arity one, in
+dimension one or at degree below two, gives the identity (1, ((1,),)), so
+every degree goes through the same path.
 
-The symbol Casimir leaves x alone, so the projection works per fiber
-monomial: P(x^s m) = x^s P(m).  One integer kernel, `_combine`, applies
-rows of weights to the Krylov vectors m, Cm, ..., C^(L-1) m (L labels) of
-each distinct fiber monomial m of a body: the rows of D l_p for
-`decompose_body`, the resolvent row for the level solve of
-`projquant.quantization`.  The Krylov vectors go into a plain dict memo,
-which lives for one top-level call (`decompose`, `quantize`, `symbol_map`)
-and is shared by every degree, level and component of it.
+C0 leaves x alone, so the projection works per fiber monomial:
+P(x^s m) = x^s P(m).  `decompose_body` passes the rows of D l_p to the
+integer kernel `casimir._combine`, which applies them to the Krylov vectors
+m, C0 m, ..., C0^(L-1) m (L labels) of each distinct fiber monomial m of a
+body.  The Krylov vectors go into a plain dict memo, which lives for one
+top-level call (`decompose`, `quantize`, `symbol_map`) and is shared by
+every degree, level and component of it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm, prod
 
-from .casimir import (LabelRangeError, SpectralLabel, casimir_eigenvalue,
-                      fiber_casimir, tableau_labels)
-from .densities import Context, SymbolPoly, _numerators, _poly
+from .casimir import (LabelRangeError, SpectralLabel, _combine,
+                      shift_free_eigenvalue, tableau_labels)
+from .densities import Context, SymbolPoly, _poly
 from .poly import Poly
 
 
@@ -42,66 +44,26 @@ def labels_for_degree(ctx: Context, degree: int) -> tuple[SpectralLabel, ...]:
 
 
 @lru_cache(maxsize=256)
-def projector_constants(n: int, degree: int) -> tuple:
-    """(gamma, D, coefficients) of the projectors at one degree, arity two.
+def projector_constants(nodes: tuple[int, ...]) -> tuple:
+    """(D, coefficients) of the Lagrange interpolants on distinct nodes.
 
-    gamma holds the shift-free eigenvalues gamma_q of the labels (degree, q),
     D = lcm_p prod_{q != p} (gamma_p - gamma_q) is the common denominator of
-    the Lagrange basis polynomials l_p(t) = prod_{q != p} (t - gamma_q) /
+    the basis polynomials l_p(t) = prod_{q != p} (t - gamma_q) /
     (gamma_p - gamma_q), and coefficients[p] lists the integer coefficients
-    of D l_p(t), constant term first.  Each numerator is the master
-    polynomial prod_q (t - gamma_q) divided by t - gamma_p, synthetically."""
-    gamma = tuple(int(casimir_eigenvalue(n, 0, degree, q))
-                  for q in tableau_labels(n, degree))
+    of D l_p(t), constant term first; one node gives (1, ((1,),)).  Each
+    numerator is the master polynomial prod_q (t - gamma_q) divided by
+    t - gamma_p, synthetically."""
     master = [1]
-    for gamma_q in gamma:
+    for gamma_q in nodes:
         master = [a - gamma_q * b for a, b in zip([0] + master, master + [0])]
     products = []
-    for p, gamma_p in enumerate(gamma):
+    for p, gamma_p in enumerate(nodes):
         quotient = list(accumulate(reversed(master[1:]),
                                    lambda carry, c: c + gamma_p * carry))
-        den = prod(gamma_p - gamma_q for q, gamma_q in enumerate(gamma) if q != p)
+        den = prod(gamma_p - gamma_q for q, gamma_q in enumerate(nodes) if q != p)
         products.append((quotient[::-1], den))
     D = lcm(*(den for _, den in products))
-    return gamma, D, tuple(tuple(c * (D // den) for c in poly)
-                           for poly, den in products)
-
-
-def _combine(body: Poly, rows: list, n: int, memo: dict) -> tuple[list, int]:
-    """sum_k row[k] C^k body for each row of length L, C the shift-free
-    Casimir, as integer numerators over the body's denominator.
-
-    memo maps fiber monomials m to their Krylov vectors; share it across the
-    calls for one context.  Each row is combined once per m and accumulated
-    over the x monomials that carry m."""
-    terms, den = _numerators(body.terms)
-    fibers: dict = {}
-    for (xa, aa, ba), c in terms.items():
-        fibers.setdefault((aa, ba), []).append((xa, c))
-    euler = 2 * (n + 1)
-    outs: list = [{} for _ in rows]
-    for fiber, carriers in fibers.items():
-        krylov = memo.get(fiber)
-        if krylov is None:
-            krylov = [{fiber: 1}]
-            for _ in rows[0][1:]:
-                step: dict = {}
-                for (u1, v1), c in krylov[-1].items():
-                    for u2, v2, k in fiber_casimir(u1, v1, 0, euler):
-                        step[(u2, v2)] = step.get((u2, v2), 0) + c * k
-                krylov.append(step)
-            memo[fiber] = krylov
-        for row, out in zip(rows, outs):
-            num: dict = {}
-            for k, vector in zip(row, krylov):
-                for key, c in vector.items():
-                    num[key] = num.get(key, 0) + k * c
-            image = [(a, b, c) for (a, b), c in num.items() if c]
-            for xa, c in carriers:
-                for a, b, k in image:
-                    key = (xa, a, b)
-                    out[key] = out.get(key, 0) + c * k
-    return outs, den
+    return D, tuple(tuple(c * (D // den) for c in poly) for poly, den in products)
 
 
 def decompose_body(body: Poly, degree: int, ctx: Context,
@@ -114,9 +76,8 @@ def decompose_body(body: Poly, degree: int, ctx: Context,
     if body.is_zero():
         return {}
     labels = labels_for_degree(ctx, degree)
-    if len(labels) == 1:
-        return {labels[0]: body}
-    _, D, coefficients = projector_constants(ctx.n, degree)
+    D, coefficients = projector_constants(
+        tuple(shift_free_eigenvalue(ctx.n, *label) for label in labels))
     outs, den = _combine(body, coefficients, ctx.n, memo)
     parts = {}
     for label, out in zip(labels, outs):

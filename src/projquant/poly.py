@@ -236,16 +236,6 @@ class Poly:
             terms[tuple(new_key)] = coeff * exp
         return Poly._trusted(self.n, terms)
 
-    def diff_multi(self, family: str, multi: tuple[int, ...]) -> "Poly":
-        """Iterated plain derivative D^multi in one family."""
-        out = self
-        for pos, rep in enumerate(multi):
-            for _ in range(rep):
-                out = out.diff(family, pos + 1)
-                if out.is_zero():
-                    return out
-        return out
-
     def taylor_diff(self, family: str, multi: tuple[int, ...]) -> "Poly":
         """D^multi / multi! in one family (exact binomial coefficients)."""
         slot = _SLOT[family]
@@ -302,16 +292,6 @@ class Poly:
             d = (sum(key[1]), sum(key[2]))
             buckets.setdefault(d, {})[key] = coeff
         return {d: Poly._trusted(self.n, t) for d, t in sorted(buckets.items())}
-
-    def euler(self, family: str) -> "Poly":
-        """Sum_i v_i D_{v_i} over one family: scales each term by its degree."""
-        slot = _SLOT[family]
-        terms = {}
-        for key, coeff in self.terms.items():
-            d = sum(key[slot])
-            if d:
-                terms[key] = coeff * d
-        return Poly._trusted(self.n, terms)
 
     def eta_contract(self, family: str) -> "Poly":
         """Sum_i d/dx_i D_{v_i}: one x-derivative paired with one fiber

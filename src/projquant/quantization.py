@@ -3,8 +3,10 @@
 `quantize` prolongs each isotypic component of a symbol into an eigenvector
 of the operator Casimir by solving the triangular system level by level: at
 each lower degree every piece of the correction is divided by its
-eigenvalue gap, taken from the shift-free eigenvalues gamma0: by Sylvester's
-formula that is one resolvent combination of Krylov vectors per level.  A
+eigenvalue gap.  Each level reads its shift-free eigenvalues gamma0 once,
+for the gaps, for the free slots of a zero correction and as the key of its
+projector constants; by Sylvester's formula the division is one resolvent
+combination of Krylov vectors (`casimir._combine`) per level.  A
 vanishing gap with a vanishing right-hand side leaves the component free;
 it is set to zero and recorded as a free slot.  A vanishing gap with a
 non-vanishing right-hand side is a genuine obstruction and is reported with
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .casimir import SpectralLabel, _eigenvalue, _nc_body
+from .casimir import (SpectralLabel, _combine, _nc_body,
+                      shift_free_eigenvalue)
 from .densities import ArityError, BidiffOp, Context, SymbolPoly, _poly
-from .isotypic import (_combine, decompose_body, labels_for_degree,
-                       projector_constants)
+from .isotypic import decompose_body, labels_for_degree, projector_constants
 from .poly import ALPHA, BETA, Poly, as_fraction
 
 
@@ -85,22 +87,20 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
     gap_q is one integer row of Krylov weights; each zero gap adds the row
     of its pi_q, whose image is a free slot or the obstruction."""
     n = ctx.n
-    gamma = _eigenvalue(0, -n, *label)
+    gamma = shift_free_eigenvalue(n, *label)
     step = 2 * (n + 1) * ctx.delta
     total = current = body
     for j in range(label.i - 1, -1, -1):
         s = gamma - step * (label.i - j)
         labels = labels_for_degree(ctx, j)
+        nodes = tuple(shift_free_eigenvalue(n, *lab) for lab in labels)
         current = _nc_body(current, ctx)
         if current.is_zero():
-            free_slots.update(lab for lab in labels
-                              if _eigenvalue(0, -n, *lab) == s)
+            free_slots.update(lab for lab, node in zip(labels, nodes)
+                              if node == s)
             continue
-        if len(labels) == 1:  # arity one, n = 1 or j < 2: no projection
-            D, coefficients = 1, ((1,),)
-        else:
-            _, D, coefficients = projector_constants(n, j)
-        gaps = [s - _eigenvalue(0, -n, *lab) for lab in labels]
+        D, coefficients = projector_constants(nodes)
+        gaps = [s - node for node in nodes]
         E = lcm(*(gap.numerator for gap in gaps if gap))
         weights = [E // gap.numerator * gap.denominator if gap else 0
                    for gap in gaps]

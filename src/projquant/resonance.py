@@ -1,12 +1,13 @@
 """Resonant and critical shift values.
 
 A shift is resonant when two Casimir eigenvalues of different total degrees
-coincide; the witnessing shift is determined by the labels because the
-quadratic terms in the shift cancel.  A resonance (i, p; j, q) is critical
-when additionally 0 <= p - q <= i - j, the condition under which the
-degree-lowering correction can actually reach the colliding block.  Every
-scan enumerates label pairs with `label_pairs`, in lexicographic order of
-(i, p, j, q), and evaluates the closed form without re-checking labels.
+coincide; the quadratic terms in the shift cancel, so the witnessing shift
+is (gamma0(i, p) - gamma0(j, q)) / (2(n+1)(i - j)), gamma0 the shift-free
+eigenvalues.  A resonance (i, p; j, q) is critical when additionally
+0 <= p - q <= i - j, the condition under which the degree-lowering
+correction can actually reach the colliding block.  Every scan enumerates
+label pairs with `label_pairs`, in lexicographic order of (i, p, j, q),
+and reads gamma0 from a table it builds once per call.
 
 Criticality verdicts are complete: `critical_lower_bound` is non-decreasing
 and unbounded in the degree, so a finite scan certifies that no critical
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .casimir import LabelRangeError, check_label, tableau_labels
+from .casimir import (LabelRangeError, check_label, shift_free_eigenvalue,
+                      tableau_labels)
 from .poly import as_fraction
 
 
@@ -46,14 +48,20 @@ def resonant_delta(n: int, i: int, p: int, j: int, q: int) -> Fraction:
     check_label(n, j, q)
     if i <= j:
         raise LabelRangeError(f"need i > j, got i={i}, j={j}")
-    return _resonant_shift(n, i, p, j, q)
+    return _resonant_shift(n, i, j, shift_free_eigenvalue(n, i, p)
+                           - shift_free_eigenvalue(n, j, q))
 
 
-def _resonant_shift(n: int, i: int, p: int, j: int, q: int) -> Fraction:
-    """The closed form of `resonant_delta` for labels known to be valid."""
-    numerator = (i * i - j * j + (n - p) * i - (n - q) * j
-                 + p * (p - 1) - q * (q - 1))
-    return Fraction(numerator, (n + 1) * (i - j))
+def _resonant_shift(n: int, i: int, j: int, gap: int) -> Fraction:
+    """The shift at which two blocks of degrees i > j collide, from the gap
+    gamma0(i, p) - gamma0(j, q) of their shift-free eigenvalues."""
+    return Fraction(gap, 2 * (n + 1) * (i - j))
+
+
+def _shift_free_table(n: int, max_degree: int) -> list[list[int]]:
+    """gamma0(i, p) at every admissible label up to max_degree, as [i][p]."""
+    return [[shift_free_eigenvalue(n, i, p) for p in tableau_labels(n, i)]
+            for i in range(max_degree + 1)]
 
 
 def is_critical(i: int, p: int, j: int, q: int) -> bool:
@@ -74,12 +82,13 @@ def label_pairs(n: int, max_degree: int) -> Iterator[tuple[int, int, int, int]]:
 def critical_lower_bound(n: int, i: int) -> Fraction:
     """Lower bound for every critical shift witnessed at degree i.
 
-    Equals the resonant shift of (i, floor(i/2); 0, 0); in dimension one the
-    tableau label is pinned to 0 and the bound (i+1)/2 still dominates all
-    resonances (i, 0; j, 0)."""
+    Equals the resonant shift of (i, floor(i/2); 0, 0), gamma0(0, 0) being
+    zero; in dimension one the tableau label is pinned to 0 and the bound
+    (i+1)/2 still dominates all resonances (i, 0; j, 0)."""
     if i < 1:
         raise ValueError("degree must be >= 1")
-    return _resonant_shift(n, i, tableau_labels(n, i)[-1], 0, 0)
+    top = tableau_labels(n, i)[-1]
+    return _resonant_shift(n, i, 0, shift_free_eigenvalue(n, i, top))
 
 
 def critical_bound_index(n: int, delta) -> int:
@@ -130,9 +139,10 @@ def classify_shift(n: int, delta, max_order: int) -> ShiftClassification:
     d = as_fraction(delta)
     bound = critical_bound_index(n, d)
     cap = max(max_order, bound)
+    gamma = _shift_free_table(n, cap)
     tuples = tuple(ResonanceTuple(i, p, j, q, d, is_critical(i, p, j, q))
                    for i, p, j, q in label_pairs(n, cap)
-                   if _resonant_shift(n, i, p, j, q) == d)
+                   if _resonant_shift(n, i, j, gamma[i][p] - gamma[j][q]) == d)
     return ShiftClassification(d, cap, bound, tuples)
 
 
@@ -147,9 +157,11 @@ def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[Res
     if lo > hi:
         raise ValueError("empty interval")
     grouped: dict[Fraction, list[ResonanceTuple]] = {}
-    for i, p, j, q in label_pairs(n, critical_bound_index(n, hi) - 1):
+    max_degree = critical_bound_index(n, hi) - 1
+    gamma = _shift_free_table(n, max_degree)
+    for i, p, j, q in label_pairs(n, max_degree):
         if is_critical(i, p, j, q):
-            d = _resonant_shift(n, i, p, j, q)
+            d = _resonant_shift(n, i, j, gamma[i][p] - gamma[j][q])
             if lo <= d <= hi:
                 grouped.setdefault(d, []).append(ResonanceTuple(i, p, j, q, d, True))
     return sorted(grouped.items())

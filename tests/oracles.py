@@ -9,11 +9,14 @@ forms: the symbol Casimir as a sum of second derivatives in the fiber
 variables, and each isotypic projector as a Lagrange product of Casimir
 applications to the whole x-dependent body.  `project_fiber_reference` is
 the engine's former per-fiber-monomial projector: one Lagrange product of
-shift-free Casimir applications per label, divided by its own eigenvalue
-differences.
+applications of the shift-free Casimir less each other node, divided by its
+own eigenvalue differences.
 
 The reference degree-lowering correction is the engine's former
-composition of whole-body `eta_contract`, `euler` and scaling.
+composition of whole-body `eta_contract`, `euler` and scaling.  `euler`,
+`diff_multi` and `divergence` are former `Poly` and `VectorField` methods
+that only these references use; `eigenvalue_reference` is the former
+one-line eigenvalue formula.
 
 `quantize_reference` and `symbol_map_reference` run the engine's former
 level loop: decompose each correction, then add piece / gap label by label.
@@ -75,6 +78,36 @@ def sympy_equal(p: Poly, expr) -> bool:
     return sympy.expand(to_sympy(p) - expr) == 0
 
 
+def euler(body: Poly, family: str) -> Poly:
+    """Sum_i v_i D_{v_i} over one family: scales each term by its degree."""
+    slot = (X, ALPHA, BETA).index(family)
+    return Poly(body.n, {key: c * sum(key[slot]) for key, c in body.terms.items()})
+
+
+def diff_multi(body: Poly, family: str, multi: tuple[int, ...]) -> Poly:
+    """Iterated plain derivative D^multi in one family."""
+    out = body
+    for pos, rep in enumerate(multi):
+        for _ in range(rep):
+            out = out.diff(family, pos + 1)
+    return out
+
+
+def divergence(field: VectorField) -> Poly:
+    out = Poly.zero(field.n)
+    for i, comp in enumerate(field.components):
+        out = out + comp.diff(X, i + 1)
+    return out
+
+
+def eigenvalue_reference(n: int, delta, i: int, p: int) -> Fraction:
+    """The symbol Casimir's eigenvalue on the (i, p) block in its former
+    one-line form, n(n+1)d(d-1) - 2((n+1)d - n + p) i + 2 i^2 + 2 p(p-1)."""
+    d = Fraction(delta)
+    return (n * (n + 1) * d * (d - 1) - 2 * ((n + 1) * d - n + p) * i
+            + 2 * i * i + 2 * p * (p - 1))
+
+
 def ct_body_reference(body: Poly, ctx: Context) -> Poly:
     """Symbol Casimir: n(n+1)d(d-1) + 2(n+1)(1-d) Euler + the sum over
     families k, l and indices i, j of xi_ki xi_lj (D_li D_kj + D_lj D_ki)."""
@@ -83,7 +116,7 @@ def ct_body_reference(body: Poly, ctx: Context) -> Poly:
     fams = ctx.fiber_families()
     out = (n * (n + 1) * d * (d - 1)) * body
     for fam in fams:
-        out = out + (2 * (n + 1) * (1 - d)) * body.euler(fam)
+        out = out + (2 * (n + 1) * (1 - d)) * euler(body, fam)
     for fam_k in fams:
         for fam_l in fams:
             for i in range(1, n + 1):
@@ -105,7 +138,7 @@ def nc_body_reference(body: Poly, ctx: Context) -> Poly:
         contracted = body.eta_contract(fam)
         if contracted.is_zero():
             continue
-        piece = contracted.euler(fam) + ((n + 1) * lam) * contracted
+        piece = euler(contracted, fam) + ((n + 1) * lam) * contracted
         out = out + 2 * piece
     return out
 
@@ -134,7 +167,6 @@ def project_fiber_reference(u: tuple[int, ...], v: tuple[int, ...],
     the other labels, taken with the shift-free Casimir so that the
     numerators stay integers; the last is the remainder, which equals its
     own Lagrange product because the interpolants sum to one."""
-    euler = 2 * (n + 1)
     pieces = []
     rest = {(u, v): Fraction(1)}
     for label in labels[:-1]:
@@ -145,7 +177,8 @@ def project_fiber_reference(u: tuple[int, ...], v: tuple[int, ...],
                 continue
             step: dict = {}
             for (u1, v1), c in num.items():
-                for u2, v2, k in fiber_casimir(u1, v1, -gamma[q], euler):
+                step[(u1, v1)] = step.get((u1, v1), 0) - gamma[q] * c
+                for u2, v2, k in fiber_casimir(u1, v1, n):
                     step[(u2, v2)] = step.get((u2, v2), 0) + c * k
             num = {key: c for key, c in step.items() if c}
             den *= gamma[label.p] - gamma[q]
@@ -480,7 +513,7 @@ def lie_density_reference(field, phi):
     out = Poly.zero(phi.n)
     for i, comp in enumerate(field.components):
         out = out + comp * phi.value.diff(X, i + 1)
-    out = out + phi.weight * field.divergence() * phi.value
+    out = out + phi.weight * divergence(field) * phi.value
     return Density(out, phi.weight)
 
 
@@ -502,7 +535,7 @@ def apply_operator_reference(op, *args):
         fiber_exps = (aa, ba)
         piece = Poly(ctx.n, {(xa, (0,) * ctx.n, (0,) * ctx.n): coeff})
         for fam in fams:
-            derived = args[slots[fam]].value.diff_multi(X, fiber_exps[slots[fam]])
+            derived = diff_multi(args[slots[fam]].value, X, fiber_exps[slots[fam]])
             piece = piece * derived
             if piece.is_zero():
                 break
@@ -540,7 +573,7 @@ def lie_symbol_reference(field, sym):
                 if step.is_zero():
                     continue
                 out = out - dX * xi_l * step
-    out = out + ctx.delta * field.divergence() * body
+    out = out + ctx.delta * divergence(field) * body
     return SymbolPoly(out, ctx)
 
 
@@ -561,17 +594,17 @@ def lie_operator_reference(field, op):
                 if step.is_zero():
                     continue
                 for ell in range(n):
-                    dX = field.components[ell].diff_multi(X, m)
+                    dX = diff_multi(field.components[ell], X, m)
                     if not dX.is_zero():
                         out = out - dX * Poly.variable(n, fam, ell + 1) * step
                     if lam == 0:
                         continue
                     m_plus = list(m)
                     m_plus[ell] += 1
-                    dX2 = field.components[ell].diff_multi(X, tuple(m_plus))
+                    dX2 = diff_multi(field.components[ell], X, tuple(m_plus))
                     if not dX2.is_zero():
                         out = out - lam * dX2 * step
-    out = out + ctx.delta * field.divergence() * body
+    out = out + ctx.delta * divergence(field) * body
     return BidiffOp(out, ctx)
 
 

@@ -14,7 +14,7 @@ import pytest
 from projquant.casimir import (LabelRangeError, casimir_correction,
                                casimir_direct, casimir_eigenvalue,
                                casimir_symbol, highest_weight_vector,
-                               tableau_labels)
+                               shift_free_eigenvalue, tableau_labels)
 from projquant.densities import (BidiffOp, Context, SymbolPoly, VectorField,
                                  lie_derivative_operator)
 from projquant.isotypic import decompose
@@ -23,7 +23,7 @@ from projquant.poly import Poly
 from projquant.sampling import random_body, random_operator, random_x_poly
 from projquant.slbasis import basis_fields, sl_basis
 
-from oracles import nc_body_reference
+from oracles import eigenvalue_reference, nc_body_reference
 
 
 def ctx_d(n, delta, lam1=Fraction(0), lam2=Fraction(0)):
@@ -60,6 +60,21 @@ def test_eigenvalue_examples():
         casimir_eigenvalue(2, Fraction(0), 2, 2)
     with pytest.raises(LabelRangeError):
         casimir_eigenvalue(1, Fraction(0), 4, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigenvalue_matches_the_one_line_formula(n):
+    """gamma0 plus the shift part against the former closed form, on
+    integer shifts, shifts with a denominator and the critical (n+2)/(n+1)."""
+    for delta in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 12),
+                  Fraction(n + 2, n + 1)):
+        for i in range(13):
+            for p in tableau_labels(n, i):
+                value = casimir_eigenvalue(n, delta, i, p)
+                assert isinstance(value, Fraction)
+                assert value == eigenvalue_reference(n, delta, i, p)
+                if delta == 0:
+                    assert value == shift_free_eigenvalue(n, i, p)
 
 
 def test_tableau_labels():

@@ -183,6 +183,7 @@ def test_scan_limit(capsys):
                  ("critical", "--n", "1", "--range", "0", "65/2"),
                  ("resonances", "--n", "2", "--delta", "1000000"),
                  ("resonances", "--n", "2", "--delta", "1", "--max-order", "65"),
+                 ("resonances", "--n", "2", "--delta", "1", "--max-order", "0"),
                  ("spectrum", "--n", "2", "--delta", "1", "--max-order", "65"),
                  ("spectrum", "--n", "0", "--delta", "1", "--max-order", "-1")):
         code, out, err = run(capsys, *argv)

@@ -27,6 +27,11 @@ CLI_CASES = {
     "resonances-n2": (["resonances", "--n", "2", "--delta", "3/2", "--json"], 0),
     "resonances-n3": (["resonances", "--n", "3", "--delta", "5/4",
                        "--max-order", "8", "--json"], 0),
+    "spectrum-n1": (["spectrum", "--n", "1", "--delta", "7/3",
+                     "--max-order", "12", "--json"], 0),
+    "critical-n1": (["critical", "--n", "1", "--range", "0", "9", "--json"], 0),
+    "resonances-n4": (["resonances", "--n", "4", "--delta", "3",
+                       "--max-order", "10", "--json"], 0),
     "quantize-n2": (["quantize", "--n", "2", "--lambda1", "1/3", "--lambda2",
                      "1/5", "--mu", "1/7",
                      "x1*a1*b2 + x2^2*a1^2 - 3/2*a2*b1"], 0),

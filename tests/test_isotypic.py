@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from projquant.casimir import casimir_eigenvalue, casimir_symbol, highest_weight_vector
+from projquant.casimir import (casimir_eigenvalue, casimir_symbol,
+                               highest_weight_vector, shift_free_eigenvalue)
 from projquant.densities import Context, SymbolPoly, lie_derivative_symbol
 from projquant.isotypic import (decompose, isotypic_project, labels_for_degree,
                                 projector_constants)
@@ -141,28 +142,39 @@ def test_arity_one_labels():
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fiber_monomial_kernels_match_whole_body_references(n, arity):
+    """casimir_symbol against the whole-body Casimir, at shifts whose shift
+    part has denominator one and at shifts where it has not; the
+    decomposition is the same at every shift."""
     rng = random.Random(100 * n + arity)
     weights = (Fraction(1, 3), Fraction(-2, 5))[:arity]
     ctx = Context.from_delta(n, weights, Fraction(1, 2))
-    other = Context.from_delta(n, weights, Fraction(-7, 3))
+    others = [Context.from_delta(n, weights, delta)
+              for delta in (Fraction(-7, 3), Fraction(0), Fraction(1),
+                            Fraction(5, 12), Fraction(n + 2, n + 1))]
     for _ in range(3):
         body = random_body(rng, n, 6, 2, arity, terms=10)
         sym = SymbolPoly(body, ctx)
         assert casimir_symbol(sym).body == ct_body_reference(body, ctx)
         parts = decompose(sym)
         assert parts == decompose_reference(sym)
-        shifted = decompose(SymbolPoly(body, other))
-        assert {k: v.body for k, v in shifted.items()} == {
-            k: v.body for k, v in parts.items()}
+        for other in others:
+            assert (casimir_symbol(SymbolPoly(body, other)).body
+                    == ct_body_reference(body, other))
+            shifted = decompose(SymbolPoly(body, other))
+            assert {k: v.body for k, v in shifted.items()} == {
+                k: v.body for k, v in parts.items()}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projector_constants_are_lagrange_interpolants(n):
     for degree in range(11):
-        gamma, D, coefficients = projector_constants(n, degree)
-        assert gamma == tuple(casimir_eigenvalue(n, 0, degree, q)
-                              for q in range(len(gamma)))
-        assert len(gamma) == len(labels_for_degree(ctx_d(n, 0), degree))
+        labels = labels_for_degree(ctx_d(n, 0), degree)
+        gamma = tuple(shift_free_eigenvalue(n, *label) for label in labels)
+        assert gamma == tuple(casimir_eigenvalue(n, 0, *label)
+                              for label in labels)
+        D, coefficients = projector_constants(gamma)
+        if len(gamma) == 1:
+            assert (D, coefficients) == (1, ((1,),))
         assert D > 0
         # the interpolants sum to one
         assert [sum(column) for column in zip(*coefficients)] == (

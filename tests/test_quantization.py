@@ -283,7 +283,7 @@ def test_prolongation_support_condition():
             continue
         i = k + l
         op = quantize(P).operator
-        for (j, qq), _comp in decompose(op.polynomial_form()).items():
+        for (j, qq), _comp in decompose(SymbolPoly(op.body, op.context)).items():
             assert 0 <= q - qq <= i - j
 
 
