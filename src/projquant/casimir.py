@@ -17,12 +17,13 @@ plus it on each fiber degree, and a gap gamma(i, p) - gamma(j, q) is the
 shift-free gap minus 2(n+1) d (i - j).  `highest_weight_vector` produces
 the canonical generator of each block.
 
-C0 ignores x, so one integer kernel, `_combine`, applies rows of weights to
-the Krylov vectors m, C0 m, C0^2 m, ... of each distinct fiber monomial m of
-a body: the row [sigma.numerator, sigma.denominator] for `casimir_symbol`,
-the projector rows of `projquant.isotypic` and the resolvent row of the
-level solve in `projquant.quantization`.  `casimir_correction` is one pass
-over the terms: each term maps to at most n images per fiber family.
+C0 ignores x, so one integer kernel, `_combine`, applies rows of integer
+weights over their denominators to the Krylov vectors m, C0 m, C0^2 m, ...
+of each distinct fiber monomial m of a body, grown on demand in a memo:
+the row [sigma.numerator, sigma.denominator] for `casimir_symbol`, the
+projector rows of `projquant.isotypic` and the resolvent row of the level
+solve in `projquant.quantization`.  `casimir_correction` is one pass over
+the terms: each term maps to at most n images per fiber family.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ class LabelRangeError(ValueError):
 
 def tableau_labels(n: int, i: int) -> range:
     """Admissible tableau labels p at total degree i >= 0: 0 <= p <= floor(i/2),
-    and only p = 0 in dimension one.  Rejects dimensions n < 1."""
+    and only p = 0 in dimension one.  Rejects a non-int n and n < 1."""
+    if not isinstance(n, int):
+        raise TypeError(f"dimension must be an int, got {type(n).__name__}")
     if n < 1:
         raise LabelRangeError(f"dimension must be >= 1, got n={n}")
     return range(1 if n == 1 else i // 2 + 1)
@@ -128,31 +131,29 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], n: int) -> list:
     return out
 
 
-def _combine(body: Poly, rows: list, n: int, memo: dict) -> tuple[list, int]:
-    """sum_k row[k] C0^k body for each row of length L, as integer
-    numerators over the body's denominator.
+def _combine(body: Poly, rows: list, n: int, memo: dict) -> list[Poly]:
+    """sum_k row[k] C0^k body / den for each row (row, den) of integers, as
+    one Poly per row.
 
-    memo maps fiber monomials m to their Krylov vectors m, C0 m, ...,
-    C0^(L-1) m; share it across the calls whose rows have one length per
-    fiber degree.  Each row is combined once per m and accumulated over the
-    x monomials that carry m."""
+    memo maps fiber monomials m to their Krylov vectors m, C0 m, C0^2 m, ...;
+    each list grows on demand to the longest row of the call, so one memo
+    serves rows of any length.  Each row is combined once per m and
+    accumulated over the x monomials that carry m."""
     terms, den = _numerators(body.terms)
     fibers: dict = {}
     for (xa, aa, ba), c in terms.items():
         fibers.setdefault((aa, ba), []).append((xa, c))
+    length = max(len(row) for row, _ in rows)
     outs: list = [{} for _ in rows]
     for fiber, carriers in fibers.items():
-        krylov = memo.get(fiber)
-        if krylov is None:
-            krylov = [{fiber: 1}]
-            for _ in rows[0][1:]:
-                step: dict = {}
-                for (u1, v1), c in krylov[-1].items():
-                    for u2, v2, k in fiber_casimir(u1, v1, n):
-                        step[(u2, v2)] = step.get((u2, v2), 0) + c * k
-                krylov.append(step)
-            memo[fiber] = krylov
-        for row, out in zip(rows, outs):
+        krylov = memo.setdefault(fiber, [{fiber: 1}])
+        while len(krylov) < length:
+            step: dict = {}
+            for (u1, v1), c in krylov[-1].items():
+                for u2, v2, k in fiber_casimir(u1, v1, n):
+                    step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+            krylov.append(step)
+        for (row, _), out in zip(rows, outs):
             num: dict = {}
             for k, vector in zip(row, krylov):
                 for key, c in vector.items():
@@ -162,22 +163,23 @@ def _combine(body: Poly, rows: list, n: int, memo: dict) -> tuple[list, int]:
                 for a, b, k in image:
                     key = (xa, a, b)
                     out[key] = out.get(key, 0) + c * k
-    return outs, den
+    return [_poly(n, out, row_den * den) for (_, row_den), out in zip(rows, outs)]
 
 
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     """Degree-preserving closed form: C0 plus the shift part sigma on each
-    fiber degree, one `_combine` with the row [sigma.numerator,
-    sigma.denominator], so each distinct fiber monomial is mapped once."""
+    fiber degree, one `_combine` per degree with the row [sigma.numerator,
+    sigma.denominator] over sigma.denominator and one memo for the call, so
+    each distinct fiber monomial is mapped once."""
     ctx = arg.context
-    ctx.fiber_families()  # arity must be representable
     n = ctx.n
+    memo: dict = {}
     terms: dict = {}
     for degree, part in arg.body.fiber_parts().items():
         sigma = _shift_part(n, ctx.delta, degree)
-        (out,), den = _combine(part, [(sigma.numerator, sigma.denominator)],
-                               n, {})
-        terms.update(_poly(n, out, sigma.denominator * den).terms)
+        row = (sigma.numerator, sigma.denominator)
+        (image,) = _combine(part, [(row, sigma.denominator)], n, memo)
+        terms.update(image.terms)
     return type(arg)(Poly._trusted(n, terms), ctx)
 
 
@@ -186,7 +188,6 @@ def _nc_body(body: Poly, ctx: Context) -> Poly:
     each index i, x^s u maps to x^(s - e_i) u' with coefficient
     2 s_i u_i (|u| - 1 + (n+1) lam), u the family's monomial and u' that
     monomial with its i-th exponent lowered by one."""
-    ctx.fiber_families()  # arity must be representable
     n = ctx.n
     families = [(slot, (n + 1) * lam) for slot, lam in zip((1, 2), ctx.weights)]
     terms: dict = {}

@@ -69,6 +69,8 @@ class Context:
     mu: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"dimension must be an int, got {type(self.n).__name__}")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "weights",
@@ -150,10 +152,11 @@ class VectorField:
 
 
 def _check_body(self):
-    """The shared check of SymbolPoly and BidiffOp."""
+    """The shared check of SymbolPoly and BidiffOp: the dimensions agree, the
+    arity is representable and an arity-1 body has no b variables."""
     if self.body.n != self.context.n:
         raise DimensionMismatchError("body and context dimensions differ")
-    if self.context.arity == 1 and self.body.degree(BETA) > 0:
+    if BETA not in self.context.fiber_families() and self.body.degree(BETA) > 0:
         raise ArityError(f"arity-1 {self._noun} cannot contain b variables")
 
 
@@ -374,7 +377,6 @@ def apply_operator(op: BidiffOp, *args: Density) -> Density:
         if arg.weight != weight:
             raise WeightMismatchError(
                 f"argument weight {arg.weight} != context weight {weight}")
-    ctx.fiber_families()  # arity must be representable
     terms, den = _numerators(op.body.terms)
     factors = []
     for arg in args:
@@ -402,9 +404,8 @@ def lie_derivative_symbol(field: VectorField, sym: SymbolPoly) -> SymbolPoly:
     if field.n != sym.body.n:
         raise DimensionMismatchError("field and symbol dimensions differ")
     ctx = sym.context
-    zero_weights = (_ZERO,) * len(ctx.fiber_families())
-    return SymbolPoly(_lie_body(field, sym.body, ctx.delta, 1, zero_weights),
-                      ctx)
+    return SymbolPoly(_lie_body(field, sym.body, ctx.delta, 1,
+                                (_ZERO,) * ctx.arity), ctx)
 
 
 def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
@@ -418,7 +419,6 @@ def lie_derivative_operator(field: VectorField, op: BidiffOp) -> BidiffOp:
     if field.n != op.body.n:
         raise DimensionMismatchError("field and operator dimensions differ")
     ctx = op.context
-    ctx.fiber_families()  # arity must be representable
     top = max(field.x_degree(), 0)
     return BidiffOp(_lie_body(field, op.body, ctx.delta, top, ctx.weights),
                     ctx)

@@ -14,12 +14,12 @@ dimension one or at degree below two, gives the identity (1, ((1,),)), so
 every degree goes through the same path.
 
 C0 leaves x alone, so the projection works per fiber monomial:
-P(x^s m) = x^s P(m).  `decompose_body` passes the rows of D l_p to the
-integer kernel `casimir._combine`, which applies them to the Krylov vectors
-m, C0 m, ..., C0^(L-1) m (L labels) of each distinct fiber monomial m of a
-body.  The Krylov vectors go into a plain dict memo, which lives for one
-top-level call (`decompose`, `quantize`, `symbol_map`) and is shared by
-every degree, level and component of it.
+P(x^s m) = x^s P(m).  `decompose_body` passes the rows of D l_p, each over
+D, to the integer kernel `casimir._combine`, which applies them to the
+Krylov vectors m, C0 m, ..., C0^(L-1) m (L labels) of each distinct fiber
+monomial m of a body.  The Krylov vectors go into a plain dict memo, which
+lives for one top-level call (`decompose`, `quantize`, `symbol_map`) and is
+shared by every degree, level and component of it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import lcm, prod
 
 from .casimir import (LabelRangeError, SpectralLabel, _combine,
                       shift_free_eigenvalue, tableau_labels)
-from .densities import Context, SymbolPoly, _poly
+from .densities import Context, SymbolPoly
 from .poly import Poly
 
 
@@ -68,23 +68,15 @@ def projector_constants(nodes: tuple[int, ...]) -> tuple:
 
 def decompose_body(body: Poly, degree: int, ctx: Context,
                    memo: dict) -> dict[SpectralLabel, Poly]:
-    """Isotypic pieces of a homogeneous body; zero pieces are omitted.
-
-    Each piece is the combination of the Krylov vectors with the
-    coefficients of D l_p (`_combine`, sharing memo), over D times the
-    body's denominator."""
-    if body.is_zero():
-        return {}
+    """Isotypic pieces of a nonzero homogeneous body; zero pieces are
+    omitted.  Each piece is one row of D l_p over D (`_combine`, sharing
+    memo)."""
     labels = labels_for_degree(ctx, degree)
     D, coefficients = projector_constants(
         tuple(shift_free_eigenvalue(ctx.n, *label) for label in labels))
-    outs, den = _combine(body, coefficients, ctx.n, memo)
-    parts = {}
-    for label, out in zip(labels, outs):
-        piece = _poly(ctx.n, out, D * den)
-        if not piece.is_zero():
-            parts[label] = piece
-    return parts
+    pieces = _combine(body, [(row, D) for row in coefficients], ctx.n, memo)
+    return {label: piece for label, piece in zip(labels, pieces)
+            if not piece.is_zero()}
 
 
 def isotypic_project(sym: SymbolPoly, label: SpectralLabel) -> SymbolPoly:

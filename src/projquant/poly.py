@@ -46,6 +46,8 @@ class Poly:
     __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms=None):
+        if not isinstance(n, int):
+            raise TypeError(f"dimension must be an int, got {type(n).__name__}")
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n

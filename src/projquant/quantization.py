@@ -4,9 +4,9 @@
 of the operator Casimir by solving the triangular system level by level: at
 each lower degree every piece of the correction is divided by its
 eigenvalue gap.  Each level reads its shift-free eigenvalues gamma0 once,
-for the gaps, for the free slots of a zero correction and as the key of its
-projector constants; by Sylvester's formula the division is one resolvent
-combination of Krylov vectors (`casimir._combine`) per level.  A
+for the gaps, for its free slots and, at a nonzero correction, as the key
+of its projector constants; by Sylvester's formula the division is one
+resolvent combination of Krylov vectors (`casimir._combine`) per level.  A
 vanishing gap with a vanishing right-hand side leaves the component free;
 it is set to zero and recorded as a free slot.  A vanishing gap with a
 non-vanishing right-hand side is a genuine obstruction and is reported with
@@ -30,7 +30,7 @@ from math import lcm
 
 from .casimir import (SpectralLabel, _combine, _nc_body,
                       shift_free_eigenvalue)
-from .densities import ArityError, BidiffOp, Context, SymbolPoly, _poly
+from .densities import ArityError, BidiffOp, Context, SymbolPoly
 from .isotypic import decompose_body, labels_for_degree, projector_constants
 from .poly import ALPHA, BETA, Poly, as_fraction
 
@@ -84,8 +84,9 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
 
     At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
     gamma0 less 2(n+1) delta (i - j).  The level sum_q pi_q(correction) /
-    gap_q is one integer row of Krylov weights; each zero gap adds the row
-    of its pi_q, whose image is a free slot or the obstruction."""
+    gap_q is one integer row of Krylov weights over D E; each zero gap adds
+    the row of its pi_q over D, whose image is the obstruction unless it
+    vanishes, and is a free slot."""
     n = ctx.n
     gamma = shift_free_eigenvalue(n, *label)
     step = 2 * (n + 1) * ctx.delta
@@ -95,34 +96,29 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
         labels = labels_for_degree(ctx, j)
         nodes = tuple(shift_free_eigenvalue(n, *lab) for lab in labels)
         current = _nc_body(current, ctx)
-        if current.is_zero():
-            free_slots.update(lab for lab, node in zip(labels, nodes)
-                              if node == s)
-            continue
-        D, coefficients = projector_constants(nodes)
-        gaps = [s - node for node in nodes]
-        E = lcm(*(gap.numerator for gap in gaps if gap))
-        weights = [E // gap.numerator * gap.denominator if gap else 0
-                   for gap in gaps]
-        row = [sum(w * c for w, c in zip(weights, column))
-               for column in zip(*coefficients)]
-        resonant = [q for q, gap in enumerate(gaps) if not gap]
-        outs, den = _combine(current, [row] + [coefficients[q] for q in resonant],
-                             n, memo)
-        for q, out in zip(resonant, outs[1:]):
-            piece = _poly(n, out, D * den)
-            if not piece.is_zero():
-                raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
-            free_slots.add(labels[q])
-        current = _poly(n, outs[0], D * E * den)
-        total = total + current
+        if not current.is_zero():
+            D, coefficients = projector_constants(nodes)
+            gaps = [s - node for node in nodes]
+            E = lcm(*(gap.numerator for gap in gaps if gap))
+            weights = [E // gap.numerator * gap.denominator if gap else 0
+                       for gap in gaps]
+            row = [sum(w * c for w, c in zip(weights, column))
+                   for column in zip(*coefficients)]
+            resonant = [q for q, gap in enumerate(gaps) if not gap]
+            current, *pieces = _combine(
+                current, [(row, D * E)] + [(coefficients[q], D) for q in resonant],
+                n, memo)
+            for q, piece in zip(resonant, pieces):
+                if not piece.is_zero():
+                    raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
+            total = total + current
+        free_slots.update(lab for lab, node in zip(labels, nodes) if node == s)
     return total
 
 
 def _quantize_body(body: Poly, ctx: Context, memo: dict,
                    free_slots: set[SpectralLabel]) -> Poly:
     """Prolong every isotypic component of a symbol body and sum."""
-    ctx.fiber_families()  # arity must be representable
     total = Poly.zero(ctx.n)
     for degree, part in sorted(body.fiber_parts().items(), reverse=True):
         for label, piece in sorted(decompose_body(part, degree, ctx, memo).items()):

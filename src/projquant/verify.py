@@ -38,7 +38,7 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
     return Check(name, bool(passed), detail if not passed else "")
 
 
-def suite_casimir(n: int, seed: int, max_order: int = 3) -> list[Check]:
+def suite_casimir(n: int, seed: int, max_order: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
     ok = True
@@ -80,7 +80,7 @@ def suite_casimir(n: int, seed: int, max_order: int = 3) -> list[Check]:
     return checks
 
 
-def suite_spectrum(n: int, seed: int, max_order: int = 4) -> list[Check]:
+def suite_spectrum(n: int, seed: int, max_order: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
     ok = True
@@ -108,7 +108,7 @@ def suite_spectrum(n: int, seed: int, max_order: int = 4) -> list[Check]:
     return checks
 
 
-def suite_resonance(n: int, seed: int, max_order: int = 8) -> list[Check]:
+def suite_resonance(n: int, seed: int, max_order: int) -> list[Check]:
     checks = []
     ok = True
     for i, p, j, q in label_pairs(n, max_order):
@@ -131,7 +131,7 @@ def suite_resonance(n: int, seed: int, max_order: int = 8) -> list[Check]:
     return checks
 
 
-def suite_equivariance(n: int, seed: int, max_order: int = 3) -> list[Check]:
+def suite_equivariance(n: int, seed: int, max_order: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
     ok = True
@@ -164,7 +164,7 @@ def suite_equivariance(n: int, seed: int, max_order: int = 3) -> list[Check]:
     return checks
 
 
-def suite_roundtrip(n: int, seed: int, max_order: int = 3) -> list[Check]:
+def suite_roundtrip(n: int, seed: int, max_order: int) -> list[Check]:
     rng = random.Random(seed)
     checks = []
     ok = True

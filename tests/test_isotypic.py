@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from projquant.casimir import (casimir_eigenvalue, casimir_symbol,
+from projquant.casimir import (_combine, casimir_eigenvalue, casimir_symbol,
                                highest_weight_vector, shift_free_eigenvalue)
 from projquant.densities import Context, SymbolPoly, lie_derivative_symbol
-from projquant.isotypic import (decompose, isotypic_project, labels_for_degree,
-                                projector_constants)
+from projquant.isotypic import (decompose, decompose_body, isotypic_project,
+                                labels_for_degree, projector_constants)
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.sampling import random_body
@@ -244,3 +244,21 @@ def test_krylov_projection_matches_lagrange_references(n, arity):
     assert parts == decompose_reference(sym)
     zero = SymbolPoly(Poly.zero(n), ctx)
     assert decompose(zero) == decompose_reference(zero) == {}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_memo_filled_by_a_shorter_row_gives_fresh_pieces(n):
+    """A memo first filled through a length-2 row must still give the pieces
+    of a fresh memo at a degree with three labels."""
+    ctx = Context.from_delta(n, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    body = parse_poly("x1*a1^2*b2^2 + a1*a2*b1*b2", n)
+    assert len(labels_for_degree(ctx, 4)) == 3
+    memo: dict = {}
+    (image,) = _combine(body, [((1, 1), 1)], n, memo)
+    # at shift 0 casimir_symbol is C0 itself
+    assert image == body + casimir_symbol(SymbolPoly(body, ctx_d(n, 0))).body
+    shared = decompose_body(body, 4, ctx, memo)
+    assert shared == decompose_body(body, 4, ctx, {})
+    reference = decompose_reference(SymbolPoly(body, ctx))
+    assert {label: SymbolPoly(piece, ctx) for label, piece in shared.items()} == reference
+    assert len(reference) == 3

@@ -557,9 +557,15 @@ def test_shift_one_free_slots_and_canonical_choice():
 
 
 def test_arity_above_two_rejected():
+    """A three-weight context is constructible, but no symbol or operator
+    can be made on it, so no engine entry point receives one."""
     ctx = Context(2, (Fraction(0), Fraction(0), Fraction(0)), Fraction(1))
+    assert ctx.arity == 3
+    body = parse_poly("a1*b2 + x1*a1", 2)
     with pytest.raises(ArityError):
-        quantize(SymbolPoly(parse_poly("a1", 2), ctx))
+        SymbolPoly(body, ctx)
+    with pytest.raises(ArityError):
+        BidiffOp(body, ctx)
 
 
 def _engine_quantize(sym):

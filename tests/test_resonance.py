@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from projquant.casimir import LabelRangeError, casimir_eigenvalue
+from projquant.densities import Context
 from projquant.resonance import (classify_shift, critical_bound_index,
                                  critical_lower_bound,
                                  critical_values_in_interval, is_critical,
@@ -223,3 +224,15 @@ def test_scans_reject_dimensions_below_one():
             classify_shift(n, Fraction(1), 6)
         with pytest.raises(LabelRangeError):
             critical_values_in_interval(n, 1, 2)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n: casimir_eigenvalue(n, Fraction(1, 2), 2, 1),
+    lambda n: Context(n, (Fraction(0), Fraction(0)), Fraction(1)),
+    lambda n: classify_shift(n, 1, 3),
+], ids=["casimir_eigenvalue", "Context", "classify_shift"])
+def test_non_integer_dimensions_rejected(entry):
+    """A float dimension would turn exact results into floats."""
+    for n in (2.0, Fraction(2)):
+        with pytest.raises(TypeError, match="dimension must be an int"):
+            entry(n)
