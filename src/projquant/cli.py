@@ -26,11 +26,15 @@ OBSTRUCTION_EXIT = 2
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-# Highest degree that spectrum, critical and resonances may scan; a scan to
-# degree k visits about k^4/32 label pairs.  critical and resonances scan to
-# the critical bound index of their shift, which passes the limit exactly when
-# the non-decreasing critical_lower_bound(n, SCAN_ORDER_LIMIT) <= shift: shifts
-# below 65/2 pass at n=1, below 33/2 at n=2 and below 101/8 at n=3.
+# Highest degree that spectrum, critical and resonances may scan.  To degree
+# k, resonances visits about k^3/6 triples (i, p, j) and critical about
+# k^4/32 label pairs.  In process (Python 3.11, shared 2-vCPU host), the
+# slowest resonances runs at --max-order 64, n=2 shift 16 and n=3 shift 12,
+# take 0.05 s, and critical --n 2 --range 0 16 takes 2.1 s.  critical and
+# resonances scan to the critical bound index of their shift, which passes
+# the limit exactly when the non-decreasing
+# critical_lower_bound(n, SCAN_ORDER_LIMIT) <= shift: shifts below 65/2 pass
+# at n=1, below 33/2 at n=2 and below 101/8 at n=3.
 SCAN_ORDER_LIMIT = 64
 
 # Highest fiber degree that quantize and symbol accept: a backstop on the
@@ -117,12 +121,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload, as_json: bool, text_lines) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
+def _emit(as_json: bool, payload, lines) -> None:
+    """Print payload() as JSON under --json, else each line of lines().
+
+    Both are callables, so only the printed rendering is built.  A payload
+    that is not a dict is the iterable of a list's items: it is written one
+    item at a time, in the bytes json.dumps gives the whole list."""
+    if not as_json:
+        for line in lines():
             print(line)
+        return
+    value = payload()
+    if isinstance(value, dict):
+        print(json.dumps(value, sort_keys=True))
+        return
+    write = sys.stdout.write
+    write("[")
+    for k, item in enumerate(value):
+        write(", " if k else "")
+        write(json.dumps(item, sort_keys=True))
+    write("]\n")
 
 
 def _check_order(max_order: int, least: int) -> None:
@@ -150,8 +168,8 @@ def _cmd_spectrum(args) -> int:
     rows = [[i, p, str(casimir_eigenvalue(args.n, delta, i, p))]
             for i in range(args.max_order + 1)
             for p in tableau_labels(args.n, i)]
-    _emit({"delta": str(delta), "gamma": rows}, args.json,
-          [f"i={i} p={p} gamma={g}" for i, p, g in rows])
+    _emit(args.json, lambda: {"delta": str(delta), "gamma": rows},
+          lambda: (f"i={i} p={p} gamma={g}" for i, p, g in rows))
     return 0
 
 
@@ -160,14 +178,16 @@ def _cmd_critical(args) -> int:
     hi = parse_rational(args.range[1])
     _check_shift(args.n, hi)
     grouped = critical_values_in_interval(args.n, lo, hi)
-    payload = [{"delta": str(d),
-                "tuples": [[t.i, t.p, t.j, t.q] for t in tuples]}
-               for d, tuples in grouped]
-    lines = [f"delta={entry['delta']} tuples={entry['tuples']}"
-             for entry in payload]
-    if not lines:
-        lines = ["no critical shifts in the interval"]
-    _emit(payload, args.json, lines)
+
+    def lines():
+        if not grouped:
+            yield "no critical shifts in the interval"
+        for d, tuples in grouped:
+            yield f"delta={d} tuples={[[t.i, t.p, t.j, t.q] for t in tuples]}"
+
+    _emit(args.json, lambda: ({"delta": str(d),
+                               "tuples": [[t.i, t.p, t.j, t.q] for t in tuples]}
+                              for d, tuples in grouped), lines)
     return 0
 
 
@@ -176,20 +196,22 @@ def _cmd_resonances(args) -> int:
     _check_order(args.max_order, 1)
     _check_shift(args.n, delta)
     result = classify_shift(args.n, delta, args.max_order)
-    payload = {
+
+    def lines():
+        yield (f"delta={delta}: {result.kind} "
+               f"(resonances complete up to order {result.max_order}; "
+               f"criticality certified, bound index {result.critical_bound})")
+        for t in result.tuples:
+            yield (f"  ({t.i},{t.p};{t.j},{t.q})"
+                   + (" critical" if t.critical else " not critical"))
+
+    _emit(args.json, lambda: {
         "delta": str(delta),
         "tuples": [[t.i, t.p, t.j, t.q, t.critical] for t in result.tuples],
         "checks": {"kind": result.kind,
                    "max_order": result.max_order,
                    "critical_bound_index": result.critical_bound},
-    }
-    lines = [f"delta={delta}: {result.kind} "
-             f"(resonances complete up to order {result.max_order}; "
-             f"criticality certified, bound index {result.critical_bound})"]
-    for t in result.tuples:
-        lines.append(f"  ({t.i},{t.p};{t.j},{t.q})"
-                     + (" critical" if t.critical else " not critical"))
-    _emit(payload, args.json, lines)
+    }, lines)
     return 0
 
 
@@ -243,12 +265,12 @@ def _cmd_verify(args) -> int:
         checks = run_suite(args.suite, args.n, args.seed, args.max_order)
     except KeyError as err:
         raise UsageError(str(err)) from None
-    payload = {"checks": [{"name": c.name,
-                           "status": "pass" if c.passed else "fail"}
-                          for c in checks]}
-    lines = [f"{'PASS' if c.passed else 'FAIL'} {c.name}"
-             + (f" ({c.detail})" if c.detail else "") for c in checks]
-    _emit(payload, args.json, lines)
+    _emit(args.json,
+          lambda: {"checks": [{"name": c.name,
+                               "status": "pass" if c.passed else "fail"}
+                              for c in checks]},
+          lambda: (f"{'PASS' if c.passed else 'FAIL'} {c.name}"
+                   + (f" ({c.detail})" if c.detail else "") for c in checks))
     return 0 if all(c.passed for c in checks) else 1
 
 

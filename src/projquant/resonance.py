@@ -5,9 +5,11 @@ coincide; the quadratic terms in the shift cancel, so the witnessing shift
 is (gamma0(i, p) - gamma0(j, q)) / (2(n+1)(i - j)), gamma0 the shift-free
 eigenvalues.  A resonance (i, p; j, q) is critical when additionally
 0 <= p - q <= i - j, the condition under which the degree-lowering
-correction can actually reach the colliding block.  Every scan enumerates
-label pairs with `label_pairs`, in lexicographic order of (i, p, j, q),
-and reads gamma0 from a table it builds once per call.
+correction can actually reach the colliding block.  Every scan reports
+tuples in `label_pairs` order, lexicographic in (i, p, j, q), and reads
+gamma0 from a table it builds once per call.  `critical_values_in_interval`
+walks the label pairs themselves; `classify_shift` walks the triples
+(i, p, j) and solves for the one q that can witness its shift.
 
 Criticality verdicts are complete: `critical_lower_bound` is non-decreasing
 and unbounded in the degree, so a finite scan certifies that no critical
@@ -29,7 +31,7 @@ from .casimir import (LabelRangeError, check_label, shift_free_eigenvalue,
 from .poly import as_fraction
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ResonanceTuple:
     i: int
     p: int
@@ -133,17 +135,40 @@ class ShiftClassification:
 
 
 def classify_shift(n: int, delta, max_order: int) -> ShiftClassification:
-    """Enumerate witnessing tuples up to max(max_order, critical bound)."""
+    """Every witnessing tuple up to max(max_order, critical bound), in
+    `label_pairs` order.
+
+    With delta = a/b in lowest terms, half the eigenvalue equality reads
+    q^2 - (j+1)q + j^2 + nj = gamma0(i, p)/2 - (n+1)(i-j)a/b.  All but the
+    last term are integers, so b must divide (n+1)(i-j): only the j < i
+    with i - j a multiple of b/gcd(b, n+1) can witness delta.  For each such (i, p, j) the roots in q sum to j + 1, so
+    only the smaller one can be a label q <= j/2.  It is an integer exactly
+    when the discriminant D is a square, because D = (j+1)^2 mod 4 gives
+    its root the parity of j + 1.  The scan visits about k^3/6 triples
+    (i, p, j) at cap k with integer arithmetic only, and every tuple shares
+    the one Fraction delta."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     d = as_fraction(delta)
     bound = critical_bound_index(n, d)
     cap = max(max_order, bound)
     gamma = _shift_free_table(n, cap)
-    tuples = tuple(ResonanceTuple(i, p, j, q, d, is_critical(i, p, j, q))
-                   for i, p, j, q in label_pairs(n, cap)
-                   if _resonant_shift(n, i, j, gamma[i][p] - gamma[j][q]) == d)
-    return ShiftClassification(d, cap, bound, tuples)
+    a, b = d.numerator, d.denominator
+    step = b // math.gcd(b, n + 1)
+    tuples = []
+    for i in range(1, cap + 1):
+        for p, g in enumerate(gamma[i]):
+            for j in range(i % step, i, step):
+                disc = ((j + 1) ** 2 - 4 * (j * j + n * j) + 2 * g
+                        - 4 * (n + 1) * (i - j) * a // b)
+                if disc < 0:
+                    continue
+                root = math.isqrt(disc)
+                q = (j + 1 - root) // 2
+                if root * root == disc and 0 <= q < len(gamma[j]):
+                    tuples.append(ResonanceTuple(i, p, j, q, d,
+                                                 is_critical(i, p, j, q)))
+    return ShiftClassification(d, cap, bound, tuple(tuples))
 
 
 def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[ResonanceTuple]]]:
@@ -156,12 +181,13 @@ def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[Res
     hi = as_fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    grouped: dict[Fraction, list[ResonanceTuple]] = {}
+    grouped: dict[Fraction, tuple[Fraction, list[ResonanceTuple]]] = {}
     max_degree = critical_bound_index(n, hi) - 1
     gamma = _shift_free_table(n, max_degree)
     for i, p, j, q in label_pairs(n, max_degree):
         if is_critical(i, p, j, q):
             d = _resonant_shift(n, i, j, gamma[i][p] - gamma[j][q])
             if lo <= d <= hi:
-                grouped.setdefault(d, []).append(ResonanceTuple(i, p, j, q, d, True))
-    return sorted(grouped.items())
+                d, tuples = grouped.setdefault(d, (d, []))  # one Fraction per value
+                tuples.append(ResonanceTuple(i, p, j, q, d, True))
+    return sorted(grouped.values())

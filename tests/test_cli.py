@@ -1,10 +1,14 @@
 """Command-line surface: output schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from projquant.cli import (SCAN_ORDER_LIMIT, SOLVE_DEGREE_LIMIT,
                            SOLVE_DIM_LIMIT, VERIFY_DIM_LIMIT,
                            VERIFY_ORDER_LIMIT, main, parse_rational,
                            UsageError)
+from projquant.resonance import critical_values_in_interval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +79,40 @@ def test_critical_interval(capsys):
                        "--json")
     deltas = [entry["delta"] for entry in json.loads(out)]
     assert deltas == ["1", "3/2", "2"]
+
+
+@pytest.mark.parametrize("lo, hi, groups", [("0", "99/100", 0), ("1", "1", 1),
+                                             ("1", "12", 3703)])
+def test_critical_json_is_the_whole_payload(capsys, lo, hi, groups):
+    """The list written one group at a time has the bytes json.dumps gives
+    the whole payload."""
+    payload = [{"delta": str(d), "tuples": [[t.i, t.p, t.j, t.q] for t in tuples]}
+               for d, tuples in critical_values_in_interval(2, Fraction(lo),
+                                                            Fraction(hi))]
+    assert len(payload) == groups
+    expected = json.dumps(payload, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "critical", "--n", "2", "--range", lo, hi, "--json")
+    assert code == 0
+    # lengths, not the strings: pytest's diff of two 400 KB lines is slow
+    assert len(os.path.commonprefix([out, expected])) == len(out) == len(expected)
+
+
+def test_critical_json_memory_is_a_small_multiple_of_its_output():
+    """The traced peak of a 413 KB critical listing, the captured output
+    included, stays below 12 bytes per output byte: the command holds one
+    copy of its tuples and renders one group at a time."""
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["critical", "--n", "2", "--range", "1", "12", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = len(out.getvalue().encode())
+    assert size > 400_000
+    assert peak < 12 * size, peak / size
 
 
 def test_resonances_report(capsys):

@@ -75,6 +75,14 @@ CLI_CASES = {
     "quantize-n3-degree16": (["quantize", "--n", "3", "--lambda1", "1/3",
                               "--lambda2", "1/5", "--mu", "1/7",
                               "x1^2*x2*a1^4*a2^4*b2^4*b3^4"], 0),
+    # the text renderings of the scans, without --json
+    "critical-n2-text": (["critical", "--n", "2", "--range", "1", "5/3"], 0),
+    "critical-n2-text-empty": (["critical", "--n", "2", "--range", "0",
+                                "99/100"], 0),
+    "resonances-n2-text": (["resonances", "--n", "2", "--delta", "0",
+                            "--max-order", "7"], 0),
+    "spectrum-n2-text": (["spectrum", "--n", "2", "--delta", "1",
+                          "--max-order", "2"], 0),
 }
 
 

@@ -5,6 +5,7 @@ formula; it is validated here against its defining property, the exact
 equality of the two eigenvalues.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,22 @@ def test_scans_match_the_nested_oracle_on_a_shift_grid(n):
     for lo, hi in ([(1, 4)] + [(d, d) for d in critical[::10] + generic]
                    + list(zip(generic, generic[1:]))):
         assert critical_values_in_interval(n, lo, hi) == critical_values_reference(n, lo, hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classification_solve_matches_the_pair_walk(n):
+    """The solve for q in classify_shift against the walk over every label
+    pair: at every resonant shift of the pairs up to degree 8, and at 15
+    seeded shifts a/b with b <= 8 and a/b in [-5, 8]."""
+    rng = random.Random(n)
+    shifts = {resonant_delta(n, i, p, j, q) for i, p, j, q in label_pairs(n, 8)}
+    for _ in range(15):
+        b = rng.randint(1, 8)
+        shifts.add(Fraction(rng.randint(-5 * b, 8 * b), b))
+    for delta in sorted(shifts):
+        result = classify_shift(n, delta, 6)
+        assert ((result.max_order, result.critical_bound, list(result.tuples))
+                == classify_reference(n, delta, 6)), delta
 
 
 def test_scans_reject_dimensions_below_one():
