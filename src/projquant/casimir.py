@@ -17,18 +17,37 @@ plus it on each fiber degree, and a gap gamma(i, p) - gamma(j, q) is the
 shift-free gap minus 2(n+1) d (i - j).  `highest_weight_vector` produces
 the canonical generator of each block.
 
-C0 ignores x, so one integer kernel, `_combine`, applies rows of integer
-weights over their denominators to the Krylov vectors m, C0 m, C0^2 m, ...
-of each distinct fiber monomial m of a body, grown on demand in a memo:
-the row [sigma.numerator, sigma.denominator] for `casimir_symbol`, the
-projector rows of `projquant.isotypic` and the resolvent row of the level
-solve in `projquant.quantization`.  `casimir_correction` is one pass over
-the terms: each term maps to at most n images per fiber family.
+Every function of C0 the engine applies is built here, as rows of integer
+weights on the Krylov vectors m, C0 m, C0^2 m, ... of each distinct fiber
+monomial m of a body; C0 ignores x, so f(C0)(x^s m) = x^s f(C0)(m).  One
+kernel, `_combine`, applies the rows, each over its own denominator, and
+grows each m's Krylov vectors on demand in a plain dict memo that lives for
+one top-level call (`decompose`, `quantize`, `symbol_map`,
+`casimir_symbol`).  There are three kinds of row:
+
+- `casimir_symbol`: C0 + sigma, sigma the shift part of one fiber degree,
+  is the row [sigma.numerator, sigma.denominator] over sigma.denominator.
+- `projections`: on distinct nodes gamma_p the projector pi_p is the
+  Lagrange interpolant l_p(C0) = prod_{q != p} (C0 - gamma_q) /
+  (gamma_p - gamma_q), the row of D l_p over D, where D is the common
+  denominator of the interpolants (`projector_constants`).  A single node
+  gives the identity row.
+- `resolvent`: by Sylvester's formula, sum over gamma_q != s of
+  pi_q / (s - gamma_q) is one row, the sum of the rows of D l_q times
+  E / (s - gamma_q), over D E, where E is the lcm of the numerators of the
+  nonzero gaps.  Each node equal to s adds the row of its pi_q over D.
+
+The memo also keeps `projector_constants` per tuple of nodes: a node tuple
+holds ints and a fiber key holds two exponent tuples, so the keys cannot
+collide.  Nothing spectral outlives the call.  `casimir_correction` is one
+pass over the terms: each term maps to at most n images per fiber family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm, prod
 from typing import NamedTuple, TypeVar, Union
 
 from .densities import (BidiffOp, Context, SymbolPoly, _numerators, _poly,
@@ -166,11 +185,63 @@ def _combine(body: Poly, rows: list, n: int, memo: dict) -> list[Poly]:
     return [_poly(n, out, row_den * den) for (_, row_den), out in zip(rows, outs)]
 
 
+def projector_constants(nodes: tuple[int, ...]) -> tuple:
+    """(D, coefficients) of the Lagrange interpolants on distinct nodes.
+
+    D = lcm_p prod_{q != p} (gamma_p - gamma_q) is the common denominator of
+    the basis polynomials l_p(t) = prod_{q != p} (t - gamma_q) /
+    (gamma_p - gamma_q), and coefficients[p] lists the integer coefficients
+    of D l_p(t), constant term first; one node gives (1, ((1,),)).  Each
+    numerator is the master polynomial prod_q (t - gamma_q) divided by
+    t - gamma_p, synthetically."""
+    master = [1]
+    for gamma_q in nodes:
+        master = [a - gamma_q * b for a, b in zip([0] + master, master + [0])]
+    products = []
+    for p, gamma_p in enumerate(nodes):
+        quotient = list(accumulate(reversed(master[1:]),
+                                   lambda carry, c: c + gamma_p * carry))
+        den = prod(gamma_p - gamma_q for q, gamma_q in enumerate(nodes) if q != p)
+        products.append((quotient[::-1], den))
+    D = lcm(*(den for _, den in products))
+    return D, tuple(tuple(c * (D // den) for c in poly) for poly, den in products)
+
+
+def _constants(nodes: tuple[int, ...], memo: dict) -> tuple:
+    """projector_constants(nodes), built once per memo."""
+    if nodes not in memo:
+        memo[nodes] = projector_constants(nodes)
+    return memo[nodes]
+
+
+def projections(body: Poly, nodes: tuple[int, ...], n: int,
+                memo: dict) -> list[Poly]:
+    """pi_p body for each node gamma_p, zero pieces included."""
+    D, coefficients = _constants(nodes, memo)
+    return _combine(body, [(row, D) for row in coefficients], n, memo)
+
+
+def resolvent(body: Poly, nodes: tuple[int, ...], s, n: int,
+              memo: dict) -> tuple[Poly, dict[int, Poly]]:
+    """(sum over gamma_q != s of pi_q body / (s - gamma_q), {q: pi_q body}
+    for each node gamma_q equal to s, zero pieces included)."""
+    D, coefficients = _constants(nodes, memo)
+    gaps = [s - node for node in nodes]
+    E = lcm(*(gap.numerator for gap in gaps if gap))
+    weights = [E // gap.numerator * gap.denominator if gap else 0
+               for gap in gaps]
+    row = [sum(w * c for w, c in zip(weights, column))
+           for column in zip(*coefficients)]
+    blocked = [q for q, gap in enumerate(gaps) if not gap]
+    solved, *pieces = _combine(
+        body, [(row, D * E)] + [(coefficients[q], D) for q in blocked], n, memo)
+    return solved, dict(zip(blocked, pieces))
+
+
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     """Degree-preserving closed form: C0 plus the shift part sigma on each
-    fiber degree, one `_combine` per degree with the row [sigma.numerator,
-    sigma.denominator] over sigma.denominator and one memo for the call, so
-    each distinct fiber monomial is mapped once."""
+    fiber degree, with one memo for the call, so each distinct fiber
+    monomial is mapped once."""
     ctx = arg.context
     n = ctx.n
     memo: dict = {}

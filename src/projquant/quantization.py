@@ -3,15 +3,12 @@
 `quantize` prolongs each isotypic component of a symbol into an eigenvector
 of the operator Casimir by solving the triangular system level by level: at
 each lower degree every piece of the correction is divided by its
-eigenvalue gap.  Each level reads its shift-free eigenvalues gamma0 once,
-for the gaps, for its free slots and, at a nonzero correction, as the key
-of its projector constants; by Sylvester's formula the division is one
-resolvent combination of Krylov vectors (`casimir._combine`) per level.  A
-vanishing gap with a vanishing right-hand side leaves the component free;
-it is set to zero and recorded as a free slot.  A vanishing gap with a
-non-vanishing right-hand side is a genuine obstruction and is reported with
-the exact offending component, so weight conditions for solvability can be
-read off from the error rather than being hard-coded.
+eigenvalue gap, in one `casimir.resolvent` call per level.  A vanishing
+gap with a vanishing right-hand side leaves the component free; it is set
+to zero and recorded as a free slot.  A vanishing gap with a non-vanishing
+right-hand side is a genuine obstruction and is reported with the exact
+offending component, so weight conditions for solvability can be read off
+from the error rather than being hard-coded.
 
 `symbol_map` inverts the construction by top-down peeling: quantize the
 principal part, subtract, recurse.
@@ -26,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .casimir import (SpectralLabel, _combine, _nc_body,
+from .casimir import (SpectralLabel, _nc_body, resolvent,
                       shift_free_eigenvalue)
 from .densities import ArityError, BidiffOp, Context, SymbolPoly
-from .isotypic import decompose_body, labels_for_degree, projector_constants
+from .isotypic import decompose_body, labels_for_degree
 from .poly import ALPHA, BETA, Poly, as_fraction
 
 
@@ -83,10 +79,9 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
     """Solve the triangular system below one eigencomponent.
 
     At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
-    gamma0 less 2(n+1) delta (i - j).  The level sum_q pi_q(correction) /
-    gap_q is one integer row of Krylov weights over D E; each zero gap adds
-    the row of its pi_q over D, whose image is the obstruction unless it
-    vanishes, and is a free slot."""
+    gamma0 less 2(n+1) delta (i - j).  Each piece of the correction is
+    divided by its nonzero gap; a piece at a zero gap is the obstruction
+    unless it vanishes, and its label is a free slot."""
     n = ctx.n
     gamma = shift_free_eigenvalue(n, *label)
     step = 2 * (n + 1) * ctx.delta
@@ -97,18 +92,8 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
         nodes = tuple(shift_free_eigenvalue(n, *lab) for lab in labels)
         current = _nc_body(current, ctx)
         if not current.is_zero():
-            D, coefficients = projector_constants(nodes)
-            gaps = [s - node for node in nodes]
-            E = lcm(*(gap.numerator for gap in gaps if gap))
-            weights = [E // gap.numerator * gap.denominator if gap else 0
-                       for gap in gaps]
-            row = [sum(w * c for w, c in zip(weights, column))
-                   for column in zip(*coefficients)]
-            resonant = [q for q, gap in enumerate(gaps) if not gap]
-            current, *pieces = _combine(
-                current, [(row, D * E)] + [(coefficients[q], D) for q in resonant],
-                n, memo)
-            for q, piece in zip(resonant, pieces):
+            current, blocked = resolvent(current, nodes, s, n, memo)
+            for q, piece in blocked.items():
                 if not piece.is_zero():
                     raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
             total = total + current

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from projquant.casimir import (_combine, casimir_eigenvalue, casimir_symbol,
-                               highest_weight_vector, shift_free_eigenvalue)
+                               highest_weight_vector, projections,
+                               projector_constants, resolvent,
+                               shift_free_eigenvalue)
 from projquant.densities import Context, SymbolPoly, lie_derivative_symbol
 from projquant.isotypic import (decompose, decompose_body, isotypic_project,
-                                labels_for_degree, projector_constants)
+                                labels_for_degree)
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.sampling import random_body
@@ -244,6 +246,43 @@ def test_krylov_projection_matches_lagrange_references(n, arity):
     assert parts == decompose_reference(sym)
     zero = SymbolPoly(Poly.zero(n), ctx)
     assert decompose(zero) == decompose_reference(zero) == {}
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projections_and_resolvent_match_lagrange_references(n, arity):
+    """At degrees 0..7 (1 to 4 labels): `projections` gives the pieces of
+    decompose_reference; `resolvent` at a generic s gives the sum of
+    piece_q / (s - gamma_q), and at s = gamma_r the sum over q != r with
+    exactly piece r blocked; a memo shared by every call gives what a fresh
+    one gives."""
+    rng = random.Random(2000 + 10 * n + arity)
+    weights = (Fraction(2, 7), Fraction(-3, 11))[:arity]
+    ctx = Context.from_delta(n, weights, Fraction(5, 13))
+    shared: dict = {}
+    for degree in range(8):
+        body = homogeneous_parts(rng, n, arity, [degree], 4)
+        labels = labels_for_degree(ctx, degree)
+        nodes = tuple(shift_free_eigenvalue(n, *label) for label in labels)
+        reference = decompose_reference(SymbolPoly(body, ctx))
+        pieces = [reference[label].body if label in reference else Poly.zero(n)
+                  for label in labels]
+
+        def divided(s, skip=None):
+            return sum((piece.scale(1 / (s - node))
+                        for q, (piece, node) in enumerate(zip(pieces, nodes))
+                        if q != skip), Poly.zero(n))
+
+        generic = Fraction(-1, 3)
+        for memo in ({}, shared):
+            assert projections(body, nodes, n, memo) == pieces
+            assert resolvent(body, nodes, generic, n, memo) == (divided(generic), {})
+            for r, node in enumerate(nodes):
+                s = Fraction(node)
+                assert resolvent(body, nodes, s, n, memo) == (
+                    divided(s, skip=r), {r: pieces[r]})
+    assert max(len(labels_for_degree(ctx, d)) for d in range(8)) == (
+        4 if n > 1 and arity == 2 else 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

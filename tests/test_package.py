@@ -1,6 +1,8 @@
-"""The package's public namespace."""
+"""The package's public namespace and its module boundaries."""
 
+import ast
 import types
+from pathlib import Path
 
 import projquant
 
@@ -10,3 +12,18 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in projquant.__all__:
         value = getattr(projquant, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def test_only_casimir_builds_rows_of_c0():
+    """The integer rows over the Krylov vectors of C0 are one module's
+    format: no other module names the kernel or the projector constants."""
+    private = {"_combine", "projector_constants"}
+    users = set()
+    for path in Path(projquant.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            if names & private:
+                users.add(path.name)
+    assert users == {"casimir.py"}

@@ -1,6 +1,8 @@
 """The equivariant prolongation engine and its companions."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from projquant.densities import (ArityError, BidiffOp, Context, Density,
                                  SymbolPoly, apply_operator,
                                  lie_derivative_operator,
                                  lie_derivative_symbol)
-from projquant.isotypic import decompose, projector_constants
+from projquant.isotypic import decompose
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.quantization import (CriticalShiftError, ObstructionError,
@@ -638,9 +640,25 @@ def test_high_degree_x_free_symbol_is_its_own_quantization():
     at each of its 400 levels.  Projector constants built in more than
     O(L^2), or fetched at levels whose correction is zero, make this test
     slow."""
-    projector_constants.cache_clear()
     ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
     body = parse_poly("a1^400", N)
     result = quantize(SymbolPoly(body, ctx))
     assert result.operator.body == body
     assert result.unique
+
+
+def test_quantize_keeps_no_spectral_state_after_it_returns():
+    """The degree-200 projector constants at n = 2 take about 1.7 MiB; they
+    live in the call's memo and go with it."""
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    sym = SymbolPoly(parse_poly("a1^200", N), ctx)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = quantize(sym)
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.operator.body == sym.body
+    assert live < 64 * 1024
