@@ -77,6 +77,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -3 and -0.5 as values, not options; so too -5/7.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -132,14 +137,15 @@ def _emit(as_json: bool, payload, lines) -> None:
             print(line)
         return
     value = payload()
+    encode = json.JSONEncoder(sort_keys=True).encode
     if isinstance(value, dict):
-        print(json.dumps(value, sort_keys=True))
+        print(encode(value))
         return
     write = sys.stdout.write
     write("[")
     for k, item in enumerate(value):
         write(", " if k else "")
-        write(json.dumps(item, sort_keys=True))
+        write(encode(item))
     write("]\n")
 
 

@@ -3,12 +3,10 @@
 `quantize` prolongs each isotypic component of a symbol into an eigenvector
 of the operator Casimir by solving the triangular system level by level: at
 each lower degree every piece of the correction is divided by its
-eigenvalue gap, in one `casimir.resolvent` call per level.  A vanishing
-gap with a vanishing right-hand side leaves the component free; it is set
-to zero and recorded as a free slot.  A vanishing gap with a non-vanishing
-right-hand side is a genuine obstruction and is reported with the exact
-offending component, so weight conditions for solvability can be read off
-from the error rather than being hard-coded.
+eigenvalue gap, in one `casimir.resolvent` call per level, until the
+correction vanishes.  Labels at a vanishing gap, the source's resonances,
+are free slots, set to zero; a nonzero piece there is an obstruction,
+reported with its exact component to read weight conditions off.
 
 `symbol_map` inverts the construction by top-down peeling: quantize the
 principal part, subtract, recurse.
@@ -29,6 +27,7 @@ from .casimir import (SpectralLabel, _nc_body, resolvent,
 from .densities import ArityError, BidiffOp, Context, SymbolPoly
 from .isotypic import decompose_body, labels_for_degree
 from .poly import ALPHA, BETA, Poly, as_fraction
+from .resonance import resonant_pairs
 
 
 class ObstructionError(Exception):
@@ -79,25 +78,26 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
     """Solve the triangular system below one eigencomponent.
 
     At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
-    gamma0 less 2(n+1) delta (i - j).  Each piece of the correction is
-    divided by its nonzero gap; a piece at a zero gap is the obstruction
-    unless it vanishes, and its label is a free slot."""
+    gamma0 less 2(n+1) delta (i - j), zero at the source's `resonant_pairs`.
+    The solve stops at the first zero correction: every level below is zero."""
     n = ctx.n
+    free_slots.update(SpectralLabel(j, q) for _, _, j, q in
+                      resonant_pairs(n, ctx.delta, [label])
+                      if (j, q) in labels_for_degree(ctx, j))
     gamma = shift_free_eigenvalue(n, *label)
-    step = 2 * (n + 1) * ctx.delta
     total = current = body
     for j in range(label.i - 1, -1, -1):
-        s = gamma - step * (label.i - j)
+        current = _nc_body(current, ctx)
+        if current.is_zero():
+            break
         labels = labels_for_degree(ctx, j)
         nodes = tuple(shift_free_eigenvalue(n, *lab) for lab in labels)
-        current = _nc_body(current, ctx)
-        if not current.is_zero():
-            current, blocked = resolvent(current, nodes, s, n, memo)
-            for q, piece in blocked.items():
-                if not piece.is_zero():
-                    raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
-            total = total + current
-        free_slots.update(lab for lab, node in zip(labels, nodes) if node == s)
+        s = gamma - 2 * (n + 1) * ctx.delta * (label.i - j)
+        current, blocked = resolvent(current, nodes, s, n, memo)
+        for q, piece in blocked.items():
+            if not piece.is_zero():
+                raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
+        total = total + current
     return total
 
 

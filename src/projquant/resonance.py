@@ -6,10 +6,9 @@ is (gamma0(i, p) - gamma0(j, q)) / (2(n+1)(i - j)), gamma0 the shift-free
 eigenvalues.  A resonance (i, p; j, q) is critical when additionally
 0 <= p - q <= i - j, the condition under which the degree-lowering
 correction can actually reach the colliding block.  Every scan reports
-tuples in `label_pairs` order, lexicographic in (i, p, j, q), and reads
-gamma0 from a table it builds once per call.  `critical_values_in_interval`
-walks the label pairs themselves; `classify_shift` walks the triples
-(i, p, j) and solves for the one q that can witness its shift.
+tuples in `label_pairs` order, lexicographic in (i, p, j, q).
+`classify_shift` and the free slots of the level solve read
+`resonant_pairs`; `critical_values_in_interval` walks the label pairs.
 
 Criticality verdicts are complete: `critical_lower_bound` is non-decreasing
 and unbounded in the degree, so a finite scan certifies that no critical
@@ -134,41 +133,41 @@ class ShiftClassification:
         return "generic"
 
 
-def classify_shift(n: int, delta, max_order: int) -> ShiftClassification:
-    """Every witnessing tuple up to max(max_order, critical bound), in
-    `label_pairs` order.
+def resonant_pairs(n: int, delta, sources) -> Iterator[tuple[int, int, int, int]]:
+    """The (i, p, j, q), j < i, whose gamma0 meet at this shift, per source.
 
     With delta = a/b in lowest terms, half the eigenvalue equality reads
     q^2 - (j+1)q + j^2 + nj = gamma0(i, p)/2 - (n+1)(i-j)a/b.  All but the
     last term are integers, so b must divide (n+1)(i-j): only the j < i
-    with i - j a multiple of b/gcd(b, n+1) can witness delta.  For each such (i, p, j) the roots in q sum to j + 1, so
-    only the smaller one can be a label q <= j/2.  It is an integer exactly
-    when the discriminant D is a square, because D = (j+1)^2 mod 4 gives
-    its root the parity of j + 1.  The scan visits about k^3/6 triples
-    (i, p, j) at cap k with integer arithmetic only, and every tuple shares
-    the one Fraction delta."""
+    with i - j a multiple of b/gcd(b, n+1) can witness delta.  The roots in
+    q sum to j + 1, so only the smaller can be a label q <= j/2, and it is
+    an integer exactly when the discriminant D = 2 gamma0(i, p) + 1 +
+    j(2 - 4n - 3j) - 4(n+1)(i-j)a/b is a square: D = (j+1)^2 mod 4 gives
+    its root the parity of j + 1.  No Fraction is built per candidate."""
+    a, b = as_fraction(delta).as_integer_ratio()
+    step = b // math.gcd(b, n + 1)
+    for i, p in sources:
+        base = 2 * shift_free_eigenvalue(n, i, p) + 1
+        for j in range(i % step, i, step):
+            disc = base + j * (2 - 4 * n - 3 * j) - 4 * (n + 1) * (i - j) * a // b
+            if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+                q = (j + 1 - math.isqrt(disc)) // 2
+                if q >= 0 and q in tableau_labels(n, j):
+                    yield i, p, j, q
+
+
+def classify_shift(n: int, delta, max_order: int) -> ShiftClassification:
+    """Every witnessing tuple up to max(max_order, critical bound): the
+    `resonant_pairs` of every label to that cap, about k^3/6 triples at cap k."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     d = as_fraction(delta)
     bound = critical_bound_index(n, d)
     cap = max(max_order, bound)
-    gamma = _shift_free_table(n, cap)
-    a, b = d.numerator, d.denominator
-    step = b // math.gcd(b, n + 1)
-    tuples = []
-    for i in range(1, cap + 1):
-        for p, g in enumerate(gamma[i]):
-            for j in range(i % step, i, step):
-                disc = ((j + 1) ** 2 - 4 * (j * j + n * j) + 2 * g
-                        - 4 * (n + 1) * (i - j) * a // b)
-                if disc < 0:
-                    continue
-                root = math.isqrt(disc)
-                q = (j + 1 - root) // 2
-                if root * root == disc and 0 <= q < len(gamma[j]):
-                    tuples.append(ResonanceTuple(i, p, j, q, d,
-                                                 is_critical(i, p, j, q)))
-    return ShiftClassification(d, cap, bound, tuple(tuples))
+    sources = ((i, p) for i in range(1, cap + 1) for p in tableau_labels(n, i))
+    return ShiftClassification(d, cap, bound, tuple(
+        ResonanceTuple(i, p, j, q, d, is_critical(i, p, j, q))
+        for i, p, j, q in resonant_pairs(n, d, sources)))
 
 
 def critical_values_in_interval(n: int, lo, hi) -> list[tuple[Fraction, list[ResonanceTuple]]]:

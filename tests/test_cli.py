@@ -156,6 +156,35 @@ def test_decimal_rejected(capsys):
     assert "rational" in err
 
 
+_SOLVE = ("--n", "2", "--lambda2", "0", "--mu", "0", "x1*a1")
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("quantize", "--lambda1", "-1/3") + _SOLVE,
+     ("quantize", "--lambda1=-1/3") + _SOLVE),
+    (("symbol", "--lambda1", "-1/3") + _SOLVE,
+     ("symbol", "--lambda1=-1/3") + _SOLVE),
+    (("spectrum", "--n", "2", "--delta", "-1/2"),
+     ("spectrum", "--n", "2", "--delta=-1/2")),
+    (("resonances", "--n", "2", "--delta", "-5/7"),
+     ("resonances", "--n", "2", "--delta=-5/7")),
+    # No critical shift lies below 1, so the two ranges print the same.
+    (("critical", "--n", "2", "--range", "-1/2", "2"),
+     ("critical", "--n", "2", "--range", "0", "2")),
+])
+def test_negative_rationals_are_values(capsys, spaced, joined):
+    code, out, err = run(capsys, *spaced)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *joined)
+    assert out
+
+
+def test_negative_decimal_is_rejected_as_a_rational(capsys):
+    code, _, err = run(capsys, "spectrum", "--n", "2", "--delta", "-0.5")
+    assert code == 1
+    assert "expected an exact rational like 3 or -5/7" in err
+
+
 def test_unknown_suite_exit_one(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 1

@@ -14,16 +14,25 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(value, types.ModuleType), name
 
 
-def test_only_casimir_builds_rows_of_c0():
-    """The integer rows over the Krylov vectors of C0 are one module's
-    format: no other module names the kernel or the projector constants."""
-    private = {"_combine", "projector_constants"}
+def _modules_naming(names):
     users = set()
     for path in Path(projquant.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            found = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update(alias.name for alias in node.names)
-            if names & private:
+                found.update(alias.name for alias in node.names)
+            if found & names:
                 users.add(path.name)
-    assert users == {"casimir.py"}
+    return users
+
+
+def test_only_casimir_builds_rows_of_c0():
+    """The integer rows over the Krylov vectors of C0 are one module's
+    format: no other module names the kernel or the projector constants."""
+    assert _modules_naming({"_combine", "projector_constants"}) == {"casimir.py"}
+
+
+def test_only_resonance_solves_the_resonance_quadratic():
+    """The integer quadratic that decides which labels meet is written once:
+    the free slots of the solve and `classify_shift` both read it."""
+    assert _modules_naming({"isqrt"}) == {"resonance.py"}

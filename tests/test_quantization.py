@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from projquant import casimir, quantization
 from projquant.casimir import casimir_direct, casimir_eigenvalue, highest_weight_vector
 from projquant.densities import (ArityError, BidiffOp, Context, Density,
                                  SymbolPoly, apply_operator,
@@ -20,6 +21,7 @@ from projquant.quantization import (CriticalShiftError, ObstructionError,
                                     order2_critical_family, quantize,
                                     quantize_order2_closed, symbol_map, t1,
                                     t2, tau_maps)
+from projquant.resonance import classify_shift, label_pairs, resonant_delta
 from projquant.sampling import (generic_context, random_body, random_density,
                                 random_operator, random_symbol,
                                 random_vector_field, random_x_poly)
@@ -635,11 +637,69 @@ def test_resolvent_level_solve_matches_reference_at_a_missed_resonance():
     assert operator.fiber_parts()[5]
 
 
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_free_slots_are_the_resonances_of_the_sources(n, arity):
+    """At every resonant shift k/4 and k/3 below 3, an x-free body (free
+    slots below its sources, no correction) and one with x-degree up to 2
+    match the per-label reference, and each free slot is a tuple of
+    `classify_shift` whose source is a nonzero component."""
+    rng = random.Random(100 * n + arity)
+    grid = {Fraction(k, 4) for k in range(12)} | {Fraction(k, 3) for k in range(9)}
+    for delta in sorted(grid & {resonant_delta(n, *pair)
+                                for pair in label_pairs(n, 4)}):
+        weights = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                        for _ in range(arity))
+        ctx = Context.from_delta(n, weights, delta)
+        tuples = classify_shift(n, delta, 4).tuples
+        for coeff_degree in (0, 2):
+            body = random_body(rng, n, 4, coeff_degree, arity, terms=4)
+            outcome = _assert_matches_per_label_reference(body, ctx)
+            if len(outcome) == 3:
+                continue
+            sources = set(decompose(SymbolPoly(body, ctx)))
+            assert outcome[1] <= {(t.j, t.q) for t in tuples
+                                  if (t.i, t.p) in sources}
+
+
+def test_arity_one_free_slots_keep_only_its_labels():
+    """At n = 2 and shift 3, (3, 0) resonates with (2, 1), a label that
+    arity one does not have: degree-3 bodies, x-free or not, get no free
+    slot."""
+    ctx = Context.from_delta(N, (Fraction(1, 3),), Fraction(3))
+    assert (3, 0, 2, 1) in [(t.i, t.p, t.j, t.q)
+                            for t in classify_shift(N, 3, 3).tuples]
+    for expr in ("a1^3", "x1*a1^3", "x1^2*x2*a1*a2^2"):
+        _, free_slots = _assert_matches_per_label_reference(
+            parse_poly(expr, N), ctx)
+        assert not free_slots
+
+
+def test_solve_stops_at_the_first_zero_correction(monkeypatch):
+    """The correction lowers the x-degree at each level, so a component of
+    x-degree k needs at most k + 1 corrections; the levels below are
+    zero."""
+    calls = []
+
+    def counted(body, ctx):
+        calls.append(body)
+        return casimir._nc_body(body, ctx)
+
+    monkeypatch.setattr(quantization, "_nc_body", counted)
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    for expr, x_degree in (("x1*a1^4*b2^3", 1), ("a1^4*b2^3", 0),
+                           ("x1^2*x2*a1^3*b1*b2^2", 3)):
+        sym = SymbolPoly(parse_poly(expr, N), ctx)
+        calls.clear()
+        quantize(sym)
+        assert 0 < len(calls) <= (x_degree + 1) * len(decompose(sym))
+
+
 def test_high_degree_x_free_symbol_is_its_own_quantization():
     """a1^400 at n = 2 has 201 labels at its degree and a zero correction
-    at each of its 400 levels.  Projector constants built in more than
-    O(L^2), or fetched at levels whose correction is zero, make this test
-    slow."""
+    at its first level, where the solve stops.  Projector constants built
+    in more than O(L^2), or fetched at levels whose correction is zero,
+    make this test slow."""
     ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
     body = parse_poly("a1^400", N)
     result = quantize(SymbolPoly(body, ctx))

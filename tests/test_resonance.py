@@ -16,7 +16,7 @@ from projquant.resonance import (classify_shift, critical_bound_index,
                                  critical_lower_bound,
                                  critical_values_in_interval, is_critical,
                                  label_pairs, one_dimensional_resonances,
-                                 resonant_delta)
+                                 resonant_delta, resonant_pairs)
 
 from oracles import (bound_index_reference, classify_reference,
                      critical_values_reference, label_pairs_reference)
@@ -231,6 +231,19 @@ def test_classification_solve_matches_the_pair_walk(n):
         result = classify_shift(n, delta, 6)
         assert ((result.max_order, result.critical_bound, list(result.tuples))
                 == classify_reference(n, delta, 6)), delta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_resonant_pairs_of_one_source_are_its_resonances(n):
+    """One source at a time, in reverse order, as the level solve asks:
+    each yields the pairs of the label walk from it whose shift is delta."""
+    shifts = {pair: resonant_delta(n, *pair) for pair in label_pairs(n, 6)}
+    sources = sorted({pair[:2] for pair in shifts}, reverse=True)
+    for delta in sorted(set(shifts.values())):
+        for source in sources:
+            assert list(resonant_pairs(n, delta, [source])) == [
+                pair for pair, d in shifts.items()
+                if pair[:2] == source and d == delta]
 
 
 def test_scans_reject_dimensions_below_one():
