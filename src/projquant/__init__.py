@@ -11,6 +11,7 @@ from .casimir import (
     casimir_eigenvalue,
     casimir_symbol,
     highest_weight_vector,
+    labels_for_degree,
 )
 from .densities import (
     ArityError,
@@ -27,7 +28,7 @@ from .densities import (
     lie_derivative_symbol,
     lie_derivative_via_definition,
 )
-from .isotypic import decompose, isotypic_project, labels_for_degree
+from .isotypic import decompose, isotypic_project
 from .parsing import ParseError, format_poly, parse_poly
 from .poly import ALPHA, BETA, X, DimensionMismatchError, Poly
 from .quantization import (
@@ -68,13 +69,14 @@ __all__ = [
     # casimir
     "LabelRangeError", "SpectralLabel", "casimir_correction", "casimir_direct",
     "casimir_eigenvalue", "casimir_symbol", "highest_weight_vector",
+    "labels_for_degree",
     # densities
     "ArityError", "BidiffOp", "Context", "Density", "SymbolPoly", "VectorField",
     "WeightMismatchError", "apply_operator", "bracket", "lie_derivative_density",
     "lie_derivative_operator", "lie_derivative_symbol",
     "lie_derivative_via_definition",
     # isotypic
-    "decompose", "isotypic_project", "labels_for_degree",
+    "decompose", "isotypic_project",
     # parsing
     "ParseError", "format_poly", "parse_poly",
     # poly

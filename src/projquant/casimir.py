@@ -27,20 +27,22 @@ one top-level call (`decompose`, `quantize`, `symbol_map`,
 
 - `casimir_symbol`: C0 + sigma, sigma the shift part of one fiber degree,
   is the row [sigma.numerator, sigma.denominator] over sigma.denominator.
-- `projections`: on distinct nodes gamma_p the projector pi_p is the
+- `projections`: the labels of one degree (`labels_for_degree`) have
+  distinct eigenvalues gamma_p = gamma0(p); the projector pi_p is the
   Lagrange interpolant l_p(C0) = prod_{q != p} (C0 - gamma_q) /
   (gamma_p - gamma_q), the row of D l_p over D, where D is the common
-  denominator of the interpolants (`projector_constants`).  A single node
+  denominator of the interpolants (`projector_constants`).  A single label
   gives the identity row.
 - `resolvent`: by Sylvester's formula, sum over gamma_q != s of
   pi_q / (s - gamma_q) is one row, the sum of the rows of D l_q times
   E / (s - gamma_q), over D E, where E is the lcm of the numerators of the
-  nonzero gaps.  Each node equal to s adds the row of its pi_q over D.
+  nonzero gaps.  Each label with gamma_q = s adds the row of its pi_q over D.
 
-The memo also keeps `projector_constants` per tuple of nodes: a node tuple
-holds ints and a fiber key holds two exponent tuples, so the keys cannot
-collide.  Nothing spectral outlives the call.  `casimir_correction` is one
-pass over the terms: each term maps to at most n images per fiber family.
+Both key their pieces by label and leave zero pieces out.  The memo also
+keeps `projector_constants` per tuple of eigenvalues: such a tuple holds
+ints and a fiber key holds two exponent tuples, so the keys cannot collide.
+Nothing spectral outlives the call.  `casimir_correction` is one pass over
+the terms: each term maps to at most n images per fiber family.
 """
 
 from __future__ import annotations
@@ -75,6 +77,15 @@ def tableau_labels(n: int, i: int) -> range:
     if n < 1:
         raise LabelRangeError(f"dimension must be >= 1, got n={n}")
     return range(1 if n == 1 else i // 2 + 1)
+
+
+def labels_for_degree(ctx: Context, degree: int) -> tuple[SpectralLabel, ...]:
+    """Admissible labels (degree, q) in this context; only q = 0 at arity one."""
+    if degree < 0:
+        return ()
+    if ctx.arity == 1:
+        return (SpectralLabel(degree, 0),)
+    return tuple(SpectralLabel(degree, q) for q in tableau_labels(ctx.n, degree))
 
 
 def check_label(n: int, i: int, p: int):
@@ -150,7 +161,7 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], n: int) -> list:
     return out
 
 
-def _combine(body: Poly, rows: list, n: int, memo: dict) -> list[Poly]:
+def _combine(body: Poly, rows: list, memo: dict) -> list[Poly]:
     """sum_k row[k] C0^k body / den for each row (row, den) of integers, as
     one Poly per row.
 
@@ -158,6 +169,7 @@ def _combine(body: Poly, rows: list, n: int, memo: dict) -> list[Poly]:
     each list grows on demand to the longest row of the call, so one memo
     serves rows of any length.  Each row is combined once per m and
     accumulated over the x monomials that carry m."""
+    n = body.n
     terms, den = _numerators(body.terms)
     fibers: dict = {}
     for (xa, aa, ba), c in terms.items():
@@ -207,25 +219,28 @@ def projector_constants(nodes: tuple[int, ...]) -> tuple:
     return D, tuple(tuple(c * (D // den) for c in poly) for poly, den in products)
 
 
-def _constants(nodes: tuple[int, ...], memo: dict) -> tuple:
-    """projector_constants(nodes), built once per memo."""
+def _constants(labels: tuple[SpectralLabel, ...], n: int, memo: dict) -> tuple:
+    """The labels' gamma0 and their projector_constants, built once per memo."""
+    nodes = tuple(shift_free_eigenvalue(n, *label) for label in labels)
     if nodes not in memo:
         memo[nodes] = projector_constants(nodes)
-    return memo[nodes]
+    return nodes, memo[nodes]
 
 
-def projections(body: Poly, nodes: tuple[int, ...], n: int,
-                memo: dict) -> list[Poly]:
-    """pi_p body for each node gamma_p, zero pieces included."""
-    D, coefficients = _constants(nodes, memo)
-    return _combine(body, [(row, D) for row in coefficients], n, memo)
+def projections(body: Poly, labels: tuple[SpectralLabel, ...],
+                memo: dict) -> dict[SpectralLabel, Poly]:
+    """{label: pi_label body} for the labels of one degree, in label order."""
+    _, (D, coefficients) = _constants(labels, body.n, memo)
+    pieces = _combine(body, [(row, D) for row in coefficients], memo)
+    return {label: piece for label, piece in zip(labels, pieces)
+            if not piece.is_zero()}
 
 
-def resolvent(body: Poly, nodes: tuple[int, ...], s, n: int,
-              memo: dict) -> tuple[Poly, dict[int, Poly]]:
-    """(sum over gamma_q != s of pi_q body / (s - gamma_q), {q: pi_q body}
-    for each node gamma_q equal to s, zero pieces included)."""
-    D, coefficients = _constants(nodes, memo)
+def resolvent(body: Poly, labels: tuple[SpectralLabel, ...], s,
+              memo: dict) -> tuple[Poly, dict[SpectralLabel, Poly]]:
+    """(sum over the labels q with gamma0(q) != s of pi_q body / (s - gamma0(q)),
+    {q: pi_q body} for the labels with gamma0(q) = s)."""
+    nodes, (D, coefficients) = _constants(labels, body.n, memo)
     gaps = [s - node for node in nodes]
     E = lcm(*(gap.numerator for gap in gaps if gap))
     weights = [E // gap.numerator * gap.denominator if gap else 0
@@ -234,8 +249,9 @@ def resolvent(body: Poly, nodes: tuple[int, ...], s, n: int,
            for column in zip(*coefficients)]
     blocked = [q for q, gap in enumerate(gaps) if not gap]
     solved, *pieces = _combine(
-        body, [(row, D * E)] + [(coefficients[q], D) for q in blocked], n, memo)
-    return solved, dict(zip(blocked, pieces))
+        body, [(row, D * E)] + [(coefficients[q], D) for q in blocked], memo)
+    return solved, {labels[q]: piece for q, piece in zip(blocked, pieces)
+                    if not piece.is_zero()}
 
 
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
@@ -249,7 +265,7 @@ def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     for degree, part in arg.body.fiber_parts().items():
         sigma = _shift_part(n, ctx.delta, degree)
         row = (sigma.numerator, sigma.denominator)
-        (image,) = _combine(part, [(row, sigma.denominator)], n, memo)
+        (image,) = _combine(part, [(row, sigma.denominator)], memo)
         terms.update(image.terms)
     return type(arg)(Poly._trusted(n, terms), ctx)
 

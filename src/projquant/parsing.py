@@ -256,6 +256,7 @@ class _Parser:
 
 def parse_poly(text: str, n: int) -> Poly:
     """Parse an expression into a canonical Poly over dimension n."""
+    Poly.zero(n)  # rejects a bad dimension before the text is read
     return _Parser(text, n).parse()
 
 

@@ -1,12 +1,14 @@
 """Equivariant quantization and its inverse symbol map.
 
-`quantize` prolongs each isotypic component of a symbol into an eigenvector
-of the operator Casimir by solving the triangular system level by level: at
-each lower degree every piece of the correction is divided by its
-eigenvalue gap, in one `casimir.resolvent` call per level, until the
-correction vanishes.  Labels at a vanishing gap, the source's resonances,
-are free slots, set to zero; a nonzero piece there is an obstruction,
-reported with its exact component to read weight conditions off.
+`quantize` splits a symbol into its isotypic components, one
+`casimir.projections` call per fiber degree, and prolongs each into an
+eigenvector of the operator Casimir by solving the triangular system level
+by level: at each lower degree every label's piece of the correction is
+divided by its eigenvalue gap, in one `casimir.resolvent` call per level,
+until the correction vanishes.  Labels at a vanishing gap, the source's
+resonances, are free slots, set to zero; a nonzero piece there is an
+obstruction, reported with its label and exact component to read weight
+conditions off.
 
 `symbol_map` inverts the construction by top-down peeling: quantize the
 principal part, subtract, recurse.
@@ -22,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .casimir import (SpectralLabel, _nc_body, resolvent,
-                      shift_free_eigenvalue)
+from .casimir import (SpectralLabel, _nc_body, labels_for_degree, projections,
+                      resolvent, shift_free_eigenvalue)
 from .densities import ArityError, BidiffOp, Context, SymbolPoly
-from .isotypic import decompose_body, labels_for_degree
 from .poly import ALPHA, BETA, Poly, as_fraction
 from .resonance import resonant_pairs
 
@@ -90,13 +91,11 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
         current = _nc_body(current, ctx)
         if current.is_zero():
             break
-        labels = labels_for_degree(ctx, j)
-        nodes = tuple(shift_free_eigenvalue(n, *lab) for lab in labels)
         s = gamma - 2 * (n + 1) * ctx.delta * (label.i - j)
-        current, blocked = resolvent(current, nodes, s, n, memo)
-        for q, piece in blocked.items():
-            if not piece.is_zero():
-                raise ObstructionError(label, labels[q], SymbolPoly(piece, ctx))
+        current, blocked = resolvent(current, labels_for_degree(ctx, j), s, memo)
+        if blocked:
+            hit, piece = next(iter(blocked.items()))
+            raise ObstructionError(label, hit, SymbolPoly(piece, ctx))
         total = total + current
     return total
 
@@ -106,7 +105,8 @@ def _quantize_body(body: Poly, ctx: Context, memo: dict,
     """Prolong every isotypic component of a symbol body and sum."""
     total = Poly.zero(ctx.n)
     for degree, part in sorted(body.fiber_parts().items(), reverse=True):
-        for label, piece in sorted(decompose_body(part, degree, ctx, memo).items()):
+        for label, piece in projections(part, labels_for_degree(ctx, degree),
+                                        memo).items():
             total = total + _prolong_component(piece, label, ctx, memo,
                                                free_slots)
     return total
@@ -224,12 +224,12 @@ def quantize_order2_closed(sym: SymbolPoly) -> BidiffOp:
 def linear_quantize_order2(sym: SymbolPoly, lam, mu) -> BidiffOp:
     """Arity-one quantization of a degree <= 2 symbol: the same triangular
     engine run with a single fiber family."""
+    if sym.body.fiber_degree() > 2:
+        raise ValueError("degree must be <= 2")
     lam = as_fraction(lam)
     mu = as_fraction(mu)
     ctx1 = Context(sym.context.n, (lam,), mu)
     _order2_denominators(ctx1)
-    if sym.body.fiber_degree() > 2:
-        raise ValueError("degree must be <= 2")
     return quantize(SymbolPoly(sym.body, ctx1)).operator
 
 

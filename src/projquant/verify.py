@@ -22,8 +22,8 @@ from .quantization import quantize, symbol_map
 from .resonance import (critical_lower_bound,
                         critical_values_in_interval, is_critical,
                         label_pairs, resonant_delta)
-from .sampling import (generic_context, random_density, random_operator,
-                       random_symbol)
+from .sampling import (generic_context, random_density, random_fraction,
+                       random_operator, random_symbol)
 from .slbasis import basis_fields, bracket_closure_check
 
 
@@ -194,7 +194,7 @@ SUITES = {
 
 
 def rng_weight(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return random_fraction(rng, 6, 5)
 
 
 def run_suite(name: str, n: int, seed: int, max_order: int) -> list[Check]:

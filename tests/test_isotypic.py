@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from projquant.casimir import (_combine, casimir_eigenvalue, casimir_symbol,
-                               highest_weight_vector, projections,
-                               projector_constants, resolvent,
+                               highest_weight_vector, labels_for_degree,
+                               projections, projector_constants, resolvent,
                                shift_free_eigenvalue)
 from projquant.densities import Context, SymbolPoly, lie_derivative_symbol
-from projquant.isotypic import (decompose, decompose_body, isotypic_project,
-                                labels_for_degree)
+from projquant.isotypic import decompose, isotypic_project
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
 from projquant.sampling import random_body
@@ -252,10 +251,10 @@ def test_krylov_projection_matches_lagrange_references(n, arity):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projections_and_resolvent_match_lagrange_references(n, arity):
     """At degrees 0..7 (1 to 4 labels): `projections` gives the pieces of
-    decompose_reference; `resolvent` at a generic s gives the sum of
-    piece_q / (s - gamma_q), and at s = gamma_r the sum over q != r with
-    exactly piece r blocked; a memo shared by every call gives what a fresh
-    one gives."""
+    decompose_reference, keyed by label in label order with no zero piece;
+    `resolvent` at a generic s gives the sum of piece_q / (s - gamma_q), and
+    at s = gamma_r the sum over q != r with exactly piece r blocked, if it
+    is nonzero; a memo shared by every call gives what a fresh one gives."""
     rng = random.Random(2000 + 10 * n + arity)
     weights = (Fraction(2, 7), Fraction(-3, 11))[:arity]
     ctx = Context.from_delta(n, weights, Fraction(5, 13))
@@ -263,26 +262,41 @@ def test_projections_and_resolvent_match_lagrange_references(n, arity):
     for degree in range(8):
         body = homogeneous_parts(rng, n, arity, [degree], 4)
         labels = labels_for_degree(ctx, degree)
-        nodes = tuple(shift_free_eigenvalue(n, *label) for label in labels)
         reference = decompose_reference(SymbolPoly(body, ctx))
-        pieces = [reference[label].body if label in reference else Poly.zero(n)
-                  for label in labels]
+        pieces = {label: reference[label].body for label in labels
+                  if label in reference}
 
         def divided(s, skip=None):
-            return sum((piece.scale(1 / (s - node))
-                        for q, (piece, node) in enumerate(zip(pieces, nodes))
-                        if q != skip), Poly.zero(n))
+            return sum((piece.scale(1 / (s - shift_free_eigenvalue(n, *label)))
+                        for label, piece in pieces.items() if label != skip),
+                       Poly.zero(n))
 
         generic = Fraction(-1, 3)
         for memo in ({}, shared):
-            assert projections(body, nodes, n, memo) == pieces
-            assert resolvent(body, nodes, generic, n, memo) == (divided(generic), {})
-            for r, node in enumerate(nodes):
-                s = Fraction(node)
-                assert resolvent(body, nodes, s, n, memo) == (
-                    divided(s, skip=r), {r: pieces[r]})
+            got = projections(body, labels, memo)
+            assert got == pieces
+            assert list(got) == [label for label in labels if label in pieces]
+            assert resolvent(body, labels, generic, memo) == (divided(generic), {})
+            for label in labels:
+                s = Fraction(shift_free_eigenvalue(n, *label))
+                blocked = {label: pieces[label]} if label in pieces else {}
+                assert resolvent(body, labels, s, memo) == (
+                    divided(s, skip=label), blocked)
     assert max(len(labels_for_degree(ctx, d)) for d in range(8)) == (
         4 if n > 1 and arity == 2 else 1)
+
+
+def test_resolvent_at_a_label_whose_piece_is_zero_blocks_nothing():
+    """a1^4 at n = 2 lies wholly in (4, 0): at s = gamma0(4, 1) the resonant
+    label has a zero piece, so nothing is blocked and the solved part is
+    a1^4 / (s - gamma0(4, 0))."""
+    ctx = ctx_d(2, 0)
+    body = parse_poly("a1^4", 2)
+    labels = labels_for_degree(ctx, 4)
+    assert projections(body, labels, {}) == {(4, 0): body}
+    s = Fraction(shift_free_eigenvalue(2, 4, 1))
+    gap = s - shift_free_eigenvalue(2, 4, 0)
+    assert resolvent(body, labels, s, {}) == (body.scale(1 / gap), {})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -291,13 +305,14 @@ def test_memo_filled_by_a_shorter_row_gives_fresh_pieces(n):
     of a fresh memo at a degree with three labels."""
     ctx = Context.from_delta(n, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
     body = parse_poly("x1*a1^2*b2^2 + a1*a2*b1*b2", n)
-    assert len(labels_for_degree(ctx, 4)) == 3
+    labels = labels_for_degree(ctx, 4)
+    assert len(labels) == 3
     memo: dict = {}
-    (image,) = _combine(body, [((1, 1), 1)], n, memo)
+    (image,) = _combine(body, [((1, 1), 1)], memo)
     # at shift 0 casimir_symbol is C0 itself
     assert image == body + casimir_symbol(SymbolPoly(body, ctx_d(n, 0))).body
-    shared = decompose_body(body, 4, ctx, memo)
-    assert shared == decompose_body(body, 4, ctx, {})
+    shared = projections(body, labels, memo)
+    assert shared == projections(body, labels, {})
     reference = decompose_reference(SymbolPoly(body, ctx))
     assert {label: SymbolPoly(piece, ctx) for label, piece in shared.items()} == reference
     assert len(reference) == 3

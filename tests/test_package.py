@@ -36,3 +36,15 @@ def test_only_resonance_solves_the_resonance_quadratic():
     """The integer quadratic that decides which labels meet is written once:
     the free slots of the solve and `classify_shift` both read it."""
     assert _modules_naming({"isqrt"}) == {"resonance.py"}
+
+
+def test_only_casimir_states_which_labels_exist():
+    """The rule for the admissible labels of a degree is written once:
+    `isotypic` and the package only import it."""
+    owners = {}
+    for path in Path(projquant.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                owners.setdefault(node.name, []).append(path.name)
+    assert owners["labels_for_degree"] == owners["tableau_labels"] == ["casimir.py"]
+    assert projquant.isotypic.labels_for_degree is projquant.labels_for_degree

@@ -68,6 +68,17 @@ def test_index_out_of_range():
     assert "out of range" in str(err.value)
 
 
+@pytest.mark.parametrize("n, error, message", [
+    (0, ValueError, "dimension must be >= 1"),
+    (-2, ValueError, "dimension must be >= 1"),
+    (2.0, TypeError, "dimension must be an int, got float"),
+])
+def test_dimension_is_checked_as_poly_checks_it(n, error, message):
+    for make in (Poly, lambda n: parse_poly("3", n)):
+        with pytest.raises(error, match=message):
+            make(n)
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_poly("a1)", N)

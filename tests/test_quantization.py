@@ -316,6 +316,14 @@ def test_linear_quantization_excluded_shifts():
         assert err.value.denominator == name
 
 
+def test_linear_quantization_checks_the_degree_before_the_shift():
+    """x1*a1^3 at shift 1: the degree is out of range, as in the closed form,
+    even though 1 - delta vanishes too."""
+    P = SymbolPoly(parse_poly("x1*a1^3", N), Context(N, (Fraction(0),), Fraction(1)))
+    with pytest.raises(ValueError, match="degree must be <= 2"):
+        linear_quantize_order2(P, 0, 1)
+
+
 def test_linear_quantization_matches_binary_pure_block():
     """The arity-one prolongation of c xi_i xi_j at weights (lam1, mu - lam2)
     has the same coefficients as the binary prolongation of c a_i a_j."""
