@@ -20,10 +20,11 @@ the canonical generator of each block.
 Every function of C0 the engine applies is built here, as rows of integer
 weights on the Krylov vectors m, C0 m, C0^2 m, ... of each distinct fiber
 monomial m of a body; C0 ignores x, so f(C0)(x^s m) = x^s f(C0)(m).  One
-kernel, `_combine`, applies the rows, each over its own denominator, and
-grows each m's Krylov vectors on demand in a plain dict memo that lives for
-one top-level call (`decompose`, `quantize`, `symbol_map`,
-`casimir_symbol`).  There are three kinds of row:
+kernel, `_combine`, applies the rows to a body given as integer numerators
+over one denominator, returns (numerators, denominator) per row, and grows
+each m's Krylov vectors on demand in a plain dict memo that lives for one
+top-level call (`decompose`, `quantize`, `symbol_map`, `casimir_symbol`).
+There are three kinds of row:
 
 - `casimir_symbol`: C0 + sigma, sigma the shift part of one fiber degree,
   is the row [sigma.numerator, sigma.denominator] over sigma.denominator.
@@ -41,8 +42,16 @@ one top-level call (`decompose`, `quantize`, `symbol_map`,
 Both key their pieces by label and leave zero pieces out.  The memo also
 keeps `projector_constants` per tuple of eigenvalues: such a tuple holds
 ints and a fiber key holds two exponent tuples, so the keys cannot collide.
-Nothing spectral outlives the call.  `casimir_correction` is one pass over
-the terms: each term maps to at most n images per fiber family.
+Nothing spectral outlives the call.  The degree-lowering correction
+`_nc_body` is one integer pass over the terms: each term maps to at most n
+images per fiber family, and the weights' factors are integers over the lcm
+L of their denominators, so a level's denominator gains the factor L.
+
+The level solve of `quantization` stays on numerators from `_nc_body`
+through `resolvent`'s solved part.  Fractions are built only at the Poly
+boundary: by `projections`, `casimir_symbol` and `casimir_correction` on
+their results, by `resolvent` on its blocked pieces, which go into an
+obstruction, and by the solve once per term of each level.
 """
 
 from __future__ import annotations
@@ -161,16 +170,16 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], n: int) -> list:
     return out
 
 
-def _combine(body: Poly, rows: list, memo: dict) -> list[Poly]:
-    """sum_k row[k] C0^k body / den for each row (row, den) of integers, as
-    one Poly per row.
+def _combine(body: tuple[dict, int], rows: list, memo: dict) -> list:
+    """sum_k row[k] C0^k body / row_den for each row (row, row_den) of
+    integers, body being (numerators, denominator); one (numerators,
+    denominator) per row, zero numerators left out.
 
     memo maps fiber monomials m to their Krylov vectors m, C0 m, C0^2 m, ...;
     each list grows on demand to the longest row of the call, so one memo
     serves rows of any length.  Each row is combined once per m and
     accumulated over the x monomials that carry m."""
-    n = body.n
-    terms, den = _numerators(body.terms)
+    terms, den = body
     fibers: dict = {}
     for (xa, aa, ba), c in terms.items():
         fibers.setdefault((aa, ba), []).append((xa, c))
@@ -181,7 +190,7 @@ def _combine(body: Poly, rows: list, memo: dict) -> list[Poly]:
         while len(krylov) < length:
             step: dict = {}
             for (u1, v1), c in krylov[-1].items():
-                for u2, v2, k in fiber_casimir(u1, v1, n):
+                for u2, v2, k in fiber_casimir(u1, v1, len(u1)):
                     step[(u2, v2)] = step.get((u2, v2), 0) + c * k
             krylov.append(step)
         for (row, _), out in zip(rows, outs):
@@ -194,7 +203,8 @@ def _combine(body: Poly, rows: list, memo: dict) -> list[Poly]:
                 for a, b, k in image:
                     key = (xa, a, b)
                     out[key] = out.get(key, 0) + c * k
-    return [_poly(n, out, row_den * den) for (_, row_den), out in zip(rows, outs)]
+    return [({key: c for key, c in out.items() if c}, row_den * den)
+            for (_, row_den), out in zip(rows, outs)]
 
 
 def projector_constants(nodes: tuple[int, ...]) -> tuple:
@@ -230,17 +240,20 @@ def _constants(labels: tuple[SpectralLabel, ...], n: int, memo: dict) -> tuple:
 def projections(body: Poly, labels: tuple[SpectralLabel, ...],
                 memo: dict) -> dict[SpectralLabel, Poly]:
     """{label: pi_label body} for the labels of one degree, in label order."""
-    _, (D, coefficients) = _constants(labels, body.n, memo)
-    pieces = _combine(body, [(row, D) for row in coefficients], memo)
-    return {label: piece for label, piece in zip(labels, pieces)
-            if not piece.is_zero()}
+    n = body.n
+    _, (D, coefficients) = _constants(labels, n, memo)
+    pieces = _combine(_numerators(body.terms), [(row, D) for row in coefficients],
+                      memo)
+    return {label: _poly(n, *piece) for label, piece in zip(labels, pieces)
+            if piece[0]}
 
 
-def resolvent(body: Poly, labels: tuple[SpectralLabel, ...], s,
-              memo: dict) -> tuple[Poly, dict[SpectralLabel, Poly]]:
+def resolvent(body: tuple[dict, int], n: int, labels: tuple[SpectralLabel, ...],
+              s, memo: dict) -> tuple[tuple[dict, int], dict[SpectralLabel, Poly]]:
     """(sum over the labels q with gamma0(q) != s of pi_q body / (s - gamma0(q)),
-    {q: pi_q body} for the labels with gamma0(q) = s)."""
-    nodes, (D, coefficients) = _constants(labels, body.n, memo)
+    {q: pi_q body} for the labels with gamma0(q) = s), body and the solved
+    part being (numerators, denominator)."""
+    nodes, (D, coefficients) = _constants(labels, n, memo)
     gaps = [s - node for node in nodes]
     E = lcm(*(gap.numerator for gap in gaps if gap))
     weights = [E // gap.numerator * gap.denominator if gap else 0
@@ -250,8 +263,8 @@ def resolvent(body: Poly, labels: tuple[SpectralLabel, ...], s,
     blocked = [q for q, gap in enumerate(gaps) if not gap]
     solved, *pieces = _combine(
         body, [(row, D * E)] + [(coefficients[q], D) for q in blocked], memo)
-    return solved, {labels[q]: piece for q, piece in zip(blocked, pieces)
-                    if not piece.is_zero()}
+    return solved, {labels[q]: _poly(n, *piece)
+                    for q, piece in zip(blocked, pieces) if piece[0]}
 
 
 def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
@@ -265,27 +278,33 @@ def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     for degree, part in arg.body.fiber_parts().items():
         sigma = _shift_part(n, ctx.delta, degree)
         row = (sigma.numerator, sigma.denominator)
-        (image,) = _combine(part, [(row, sigma.denominator)], memo)
-        terms.update(image.terms)
+        (image,) = _combine(_numerators(part.terms),
+                            [(row, sigma.denominator)], memo)
+        terms.update(_poly(n, *image).terms)
     return type(arg)(Poly._trusted(n, terms), ctx)
 
 
-def _nc_body(body: Poly, ctx: Context) -> Poly:
-    """One pass over the terms: for each fiber family with weight lam and
-    each index i, x^s u maps to x^(s - e_i) u' with coefficient
-    2 s_i u_i (|u| - 1 + (n+1) lam), u the family's monomial and u' that
-    monomial with its i-th exponent lowered by one."""
+def _nc_body(body: tuple[dict, int], ctx: Context) -> tuple[dict, int]:
+    """One pass over the terms of body = (numerators, denominator): for each
+    fiber family with weight lam and each index i, x^s u maps to
+    x^(s - e_i) u' with coefficient 2 s_i u_i (|u| - 1 + (n+1) lam), u the
+    family's monomial and u' that monomial with its i-th exponent lowered
+    by one.  Each factor is an integer over L, the lcm of the weight
+    denominators, so the image is over denominator * L."""
+    terms, den = body
     n = ctx.n
-    families = [(slot, (n + 1) * lam) for slot, lam in zip((1, 2), ctx.weights)]
-    terms: dict = {}
-    for key, c in body.terms.items():
+    L = lcm(*(lam.denominator for lam in ctx.weights))
+    families = [(slot, (n + 1) * lam.numerator * (L // lam.denominator))
+                for slot, lam in zip((1, 2), ctx.weights)]
+    out: dict = {}
+    for key, c in terms.items():
         xa = key[0]
         moves = [i for i, s in enumerate(xa) if s]
         if not moves:
             continue
         for slot, shift in families:
             u = key[slot]
-            scale = (sum(u) - 1 + shift) * c
+            scale = ((sum(u) - 1) * L + shift) * c
             if not scale:
                 continue
             for i in moves:
@@ -300,15 +319,16 @@ def _nc_body(body: Poly, ctx: Context) -> Poly:
                     image = (tuple(x2), tuple(u2), key[2])
                 else:
                     image = (tuple(x2), key[1], tuple(u2))
-                terms[image] = terms.get(image, 0) + scale * (2 * xa[i] * ui)
-    return Poly._trusted(n, {k: v for k, v in terms.items() if v})
+                out[image] = out.get(image, 0) + scale * (2 * xa[i] * ui)
+    return {k: v for k, v in out.items() if v}, den * L
 
 
 def casimir_correction(arg: _OpOrSym) -> _OpOrSym:
     """Degree-lowering part: one x-derivative paired with one fiber
     derivative per family, weighted by the fiber degree plus (n+1) times the
     argument weight."""
-    return type(arg)(_nc_body(arg.body, arg.context), arg.context)
+    body = _nc_body(_numerators(arg.body.terms), arg.context)
+    return type(arg)(_poly(arg.context.n, *body), arg.context)
 
 
 def casimir_direct(arg: _OpOrSym) -> _OpOrSym:

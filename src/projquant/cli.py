@@ -39,18 +39,19 @@ SCAN_ORDER_LIMIT = 64
 
 # Highest fiber degree that quantize and symbol accept: a backstop on the
 # degree only, since the cost also grows with n and the x-degree.  In
-# process (Python 3.11, shared 2-vCPU host), at n=3 the x-free
-# a1^11*a2^11*a3^10*b1^10*b2^11*b3^11 (degree 64) takes 0.5 s,
-# a1^30*a2^30*b2^30*b3^30 (degree 120) 4.5 s and
-# x1^2*x2*a1^6*a2^6*b2^6*b3^6 (degree 24) 3.6-4.4 s; at n=2 a1^64 takes
-# 0.01 s and a1^800 6.8 s.
+# process (Python 3.11, shared 2-vCPU host, weights 1/3 and 1/5, mu 1/7,
+# best of 2), at n=3 the x-free a1^11*a2^11*a3^10*b1^10*b2^11*b3^11
+# (degree 64) takes 0.26 s, a1^30*a2^30*b2^30*b3^30 (degree 120) 2.2 s and
+# x1^2*x2*a1^6*a2^6*b2^6*b3^6 (degree 24) 2.2 s; at n=2 a1^64 takes under
+# 0.01 s and a1^800 3.9 s.
 SOLVE_DEGREE_LIMIT = 64
 
 # Highest --n that quantize and symbol accept, checked before the expression
 # is parsed: every term carries three exponent tuples of length n, so the
 # cost of a fixed expression grows about linearly with n.  In process,
-# quantize of x1*a1*b<n>*a2*b<n-1>*a3*b<n-2>*a4*b<n-3> took 0.44 s at n=16,
-# 1.1 s at n=64, 1.9 s at n=128 and 3.5 s at n=256.
+# under the same conditions, quantize of
+# x1*a1*b<n>*a2*b<n-1>*a3*b<n-2>*a4*b<n-3> took 0.10 s at n=16, 0.27 s at
+# n=64, 0.48 s at n=128 and 0.90 s at n=256.
 SOLVE_DIM_LIMIT = 64
 
 # Highest --max-order that verify accepts.  The suites size their random

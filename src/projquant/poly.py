@@ -7,7 +7,9 @@ zero coefficients, so two Poly values are mathematically equal exactly when
 their term maps are equal.  All values are immutable after construction.
 
 Coefficients are plain ``fractions.Fraction``; floats are rejected so that
-every computation in the package stays exact.
+every computation in the package stays exact.  The constructor also checks
+that every exponent is a non-negative int; the engine's own results, built
+through ``Poly._trusted``, skip these checks.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ class Poly:
                 if len(xa) != n or len(aa) != n or len(ba) != n:
                     raise DimensionMismatchError(
                         f"exponent tuples must have length {n}")
+                for e in (*xa, *aa, *ba):
+                    if not isinstance(e, int):
+                        raise TypeError(
+                            f"exponents must be ints, got {type(e).__name__}")
+                    if e < 0:
+                        raise ValueError(f"exponents must be >= 0, got {e}")
                 clean[(tuple(xa), tuple(aa), tuple(ba))] = coeff
         self.terms = clean
         self._hash = None

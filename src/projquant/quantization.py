@@ -5,10 +5,12 @@
 eigenvector of the operator Casimir by solving the triangular system level
 by level: at each lower degree every label's piece of the correction is
 divided by its eigenvalue gap, in one `casimir.resolvent` call per level,
-until the correction vanishes.  Labels at a vanishing gap, the source's
-resonances, are free slots, set to zero; a nonzero piece there is an
-obstruction, reported with its label and exact component to read weight
-conditions off.
+until the correction vanishes.  Within a component the levels are integer
+numerators over one denominator, reduced by their gcd at each level; each
+level's terms become Fractions once, and the components are summed as
+Polys.  Labels at a vanishing gap, the source's resonances, are free slots,
+set to zero; a nonzero piece there is an obstruction, reported with its
+label and exact component to read weight conditions off.
 
 `symbol_map` inverts the construction by top-down peeling: quantize the
 principal part, subtract, recurse.
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .casimir import (SpectralLabel, _nc_body, labels_for_degree, projections,
                       resolvent, shift_free_eigenvalue)
-from .densities import ArityError, BidiffOp, Context, SymbolPoly
+from .densities import ArityError, BidiffOp, Context, SymbolPoly, _numerators
 from .poly import ALPHA, BETA, Poly, as_fraction
 from .resonance import resonant_pairs
 
@@ -80,24 +83,33 @@ def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
 
     At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
     gamma0 less 2(n+1) delta (i - j), zero at the source's `resonant_pairs`.
-    The solve stops at the first zero correction: every level below is zero."""
+    Each level is integer numerators over one denominator, reduced by their
+    gcd; its terms become Fractions once, in the component's term map, where
+    no two levels share a key because their fiber degrees differ.  The solve
+    stops at the first zero correction: every level below is zero."""
     n = ctx.n
     free_slots.update(SpectralLabel(j, q) for _, _, j, q in
                       resonant_pairs(n, ctx.delta, [label])
                       if (j, q) in labels_for_degree(ctx, j))
     gamma = shift_free_eigenvalue(n, *label)
-    total = current = body
+    terms = dict(body.terms)
+    current = _numerators(body.terms)
     for j in range(label.i - 1, -1, -1):
         current = _nc_body(current, ctx)
-        if current.is_zero():
+        if not current[0]:
             break
         s = gamma - 2 * (n + 1) * ctx.delta * (label.i - j)
-        current, blocked = resolvent(current, labels_for_degree(ctx, j), s, memo)
+        (nums, den), blocked = resolvent(current, n, labels_for_degree(ctx, j),
+                                         s, memo)
         if blocked:
             hit, piece = next(iter(blocked.items()))
             raise ObstructionError(label, hit, SymbolPoly(piece, ctx))
-        total = total + current
-    return total
+        g = gcd(den, *nums.values())
+        nums = {key: c // g for key, c in nums.items()}
+        den //= g
+        terms.update((key, Fraction(c, den)) for key, c in nums.items())
+        current = nums, den
+    return Poly._trusted(n, terms)
 
 
 def _quantize_body(body: Poly, ctx: Context, memo: dict,

@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from projquant.casimir import (LabelRangeError, casimir_correction,
+from projquant.casimir import (LabelRangeError, _nc_body, casimir_correction,
                                casimir_direct, casimir_eigenvalue,
                                casimir_symbol, highest_weight_vector,
                                shift_free_eigenvalue, tableau_labels)
 from projquant.densities import (BidiffOp, Context, SymbolPoly, VectorField,
-                                 lie_derivative_operator)
+                                 _numerators, _poly, lie_derivative_operator)
 from projquant.isotypic import decompose
 from projquant.parsing import parse_poly
 from projquant.poly import Poly
@@ -129,18 +129,21 @@ def test_correction_examples():
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_one_pass_correction_matches_whole_body_reference(n, arity):
-    """The one-pass correction equals eta_contract, Euler and scaling
-    composed on whole bodies.  The first weight is -1/(n+1), so the factor
+    """The one-pass correction, on integer numerators and through
+    `casimir_correction`, equals eta_contract, Euler and scaling composed
+    on whole bodies.  The first weight is -1/(n+1), so the factor
     |u| - 1 + (n+1) lam vanishes on the a-monomials of degree two."""
     rng = random.Random(10 * n + arity)
     weights = (Fraction(-1, n + 1), Fraction(2, 7))[:arity]
     ctx = Context(n, weights, Fraction(1, 3))
     for _ in range(4):
         body = random_body(rng, n, 5, 3, arity, terms=12)
-        one_pass = casimir_correction(BidiffOp(body, ctx)).body
+        one_pass = _poly(n, *_nc_body(_numerators(body.terms), ctx))
         assert one_pass == nc_body_reference(body, ctx)
+        assert casimir_correction(BidiffOp(body, ctx)).body == one_pass
     vanishing = parse_poly("x1*a1^2", n)
     assert nc_body_reference(vanishing, ctx).is_zero()
+    assert _nc_body(_numerators(vanishing.terms), ctx)[0] == {}
     assert casimir_correction(BidiffOp(vanishing, ctx)).body.is_zero()
 
 

@@ -48,3 +48,18 @@ def test_only_casimir_states_which_labels_exist():
                 owners.setdefault(node.name, []).append(path.name)
     assert owners["labels_for_degree"] == owners["tableau_labels"] == ["casimir.py"]
     assert projquant.isotypic.labels_for_degree is projquant.labels_for_degree
+
+
+def test_the_level_kernels_are_integer_only():
+    """`_nc_body` and `_combine` work on integer numerators over one
+    denominator: Fractions and Polys are built only at their callers'
+    boundary."""
+    tree = ast.parse(Path(projquant.casimir.__file__).read_text())
+    kernels = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("_nc_body", "_combine")}
+    assert set(kernels) == {"_nc_body", "_combine"}
+    for name, kernel in kernels.items():
+        named = {getattr(node, "id", None) for node in ast.walk(kernel)}
+        named |= {getattr(node, "attr", None) for node in ast.walk(kernel)}
+        assert not named & {"Fraction", "Poly", "_poly", "_numerators"}, name

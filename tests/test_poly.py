@@ -116,6 +116,19 @@ def test_floats_rejected():
         Poly.constant(2, 1).scale(0.5)
 
 
+def test_negative_and_non_integer_exponents_rejected():
+    """A negative exponent used to be stored, and `quantize` then dropped
+    its factor: x1^-1*a1^2 came back without any x."""
+    z = (0, 0)
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        Poly(2, {((-1, 0), z, z): 1})
+    with pytest.raises(ValueError, match="exponents must be >= 0"):
+        Poly.monomial(2, 3, x={1: -2})
+    with pytest.raises(TypeError, match="exponents must be ints"):
+        Poly(2, {(z, (1.5, 0), z): 1})
+    assert Poly(2, {(z, z, (0, 3)): 1}) == Poly.monomial(2, 1, b={2: 3})
+
+
 def test_family_degrees_and_parts():
     p = parse_poly("x1^2*a1*b2 + a1^3 + 5", N)
     assert p.degree(X) == 2

@@ -645,6 +645,43 @@ def test_resolvent_level_solve_matches_reference_at_a_missed_resonance():
     assert operator.fiber_parts()[5]
 
 
+COPRIME_WEIGHTS = (Fraction(1, 97), Fraction(2, 89))
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_solve_matches_reference_where_denominators_grow(n, arity):
+    """Weights 1/97 and 2/89 and shift 3/83: every level multiplies the
+    denominator by the weights' lcm and by the gaps' numerators, and the
+    integer solve must still give the reference's exact bytes, at each
+    x-degree from 0 to 3."""
+    rng = random.Random(500 + 10 * n + arity)
+    ctx = Context.from_delta(n, COPRIME_WEIGHTS[:arity], Fraction(3, 83))
+    largest = 1
+    for x_degree in range(4):
+        body = random_body(rng, n, 4, x_degree, arity, terms=5)
+        operator, free_slots = _assert_matches_per_label_reference(body, ctx)
+        assert not free_slots
+        largest = max(largest, *(c.denominator for c in operator.terms.values()))
+    assert largest > 97 * 89
+
+
+def test_level_solve_with_coprime_weights_matches_reference_at_resonances():
+    """With weights 1/97 and 2/89 at n = 2: at shift 7/3 the gap from (4, 0)
+    to (1, 0) vanishes and the correction three levels down hits it; at
+    shift 1 the (5, 0) slot is free while the levels below it are solved."""
+    ctx = Context.from_delta(N, COPRIME_WEIGHTS, Fraction(7, 3))
+    source, blocked, component = _assert_matches_per_label_reference(
+        parse_poly("x1^2*x2*a1^2*b2^2", N), ctx)
+    assert (source, blocked) == ((4, 0), (1, 0))
+    assert not component.is_zero()
+    ctx = Context.from_delta(N, COPRIME_WEIGHTS, Fraction(1))
+    operator, free_slots = _assert_matches_per_label_reference(
+        parse_poly("x1*x2*(a1*b2 - a2*b1)^2*a1^2", N), ctx)
+    assert free_slots == {(5, 0)}
+    assert operator.fiber_parts()[4]
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_free_slots_are_the_resonances_of_the_sources(n, arity):
@@ -689,9 +726,9 @@ def test_solve_stops_at_the_first_zero_correction(monkeypatch):
     zero."""
     calls = []
 
-    def counted(body, ctx):
-        calls.append(body)
-        return casimir._nc_body(body, ctx)
+    def counted(*args):
+        calls.append(args)
+        return casimir._nc_body(*args)
 
     monkeypatch.setattr(quantization, "_nc_body", counted)
     ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
