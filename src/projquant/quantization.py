@@ -7,13 +7,13 @@ by level: at each lower degree every label's piece of the correction is
 divided by its eigenvalue gap, in one `casimir.resolvent` call per level,
 until the correction vanishes.  Within a component the levels are integer
 numerators over one denominator, reduced by their gcd at each level; each
-level's terms become Fractions once, and the components are summed as
-Polys.  Labels at a vanishing gap, the source's resonances, are free slots,
-set to zero; a nonzero piece there is an obstruction, reported with its
-label and exact component to read weight conditions off.
+level's terms become Fractions once, added into one map from fiber degree
+to terms.  Labels at a vanishing gap, the source's resonances, are free
+slots, set to zero; a nonzero piece there is an obstruction, reported with
+its label and exact component to read weight conditions off.
 
-`symbol_map` inverts the construction by top-down peeling: quantize the
-principal part, subtract, recurse.
+`symbol_map` peels from the top on the same map: each degree's source is
+the operator's part less the level the higher sources wrote there.
 
 The second-order closed forms, the arity-one quantization, the polarization
 maps between unary and binary second-order symbols, and the two
@@ -77,81 +77,80 @@ class SymbolMapResult:
         return not self.free_slots
 
 
-def _prolong_component(body: Poly, label: SpectralLabel, ctx: Context,
-                       memo: dict, free_slots: set[SpectralLabel]) -> Poly:
-    """Solve the triangular system below one eigencomponent.
+def _accumulate(level: dict, terms: dict) -> None:
+    """Add terms into a term map in place, adding only where keys collide."""
+    for key, c in terms.items():
+        c = level.pop(key) + c if key in level else c
+        if c:
+            level[key] = c
 
-    At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
-    gamma0 less 2(n+1) delta (i - j), zero at the source's `resonant_pairs`.
-    Each level is integer numerators over one denominator, reduced by their
-    gcd; its terms become Fractions once, in the component's term map, where
-    no two levels share a key because their fiber degrees differ.  The solve
-    stops at the first zero correction: every level below is zero."""
+
+def _solve(part: Poly, degree: int, ctx: Context, memo: dict,
+           free_slots: set[SpectralLabel], levels: dict[int, dict]) -> None:
+    """Prolong each component of a homogeneous part, labels in order, into
+    levels, a map from fiber degree to terms.  At degree j the gap to (j, q)
+    is s - gamma0(j, q), s being the source's gamma0 less 2(n+1) delta
+    (i - j), zero at the source's `resonant_pairs`.  Each level is integer
+    numerators over one denominator, reduced by their gcd; the solve stops
+    at the first zero correction: every level below is zero."""
     n = ctx.n
-    free_slots.update(SpectralLabel(j, q) for _, _, j, q in
-                      resonant_pairs(n, ctx.delta, [label])
-                      if (j, q) in labels_for_degree(ctx, j))
-    gamma = shift_free_eigenvalue(n, *label)
-    terms = dict(body.terms)
-    current = _numerators(body.terms)
-    for j in range(label.i - 1, -1, -1):
-        current = _nc_body(current, ctx)
-        if not current[0]:
-            break
-        s = gamma - 2 * (n + 1) * ctx.delta * (label.i - j)
-        (nums, den), blocked = resolvent(current, n, labels_for_degree(ctx, j),
-                                         s, memo)
-        if blocked:
-            hit, piece = next(iter(blocked.items()))
-            raise ObstructionError(label, hit, SymbolPoly(piece, ctx))
-        g = gcd(den, *nums.values())
-        nums = {key: c // g for key, c in nums.items()}
-        den //= g
-        terms.update((key, Fraction(c, den)) for key, c in nums.items())
-        current = nums, den
-    return Poly._trusted(n, terms)
-
-
-def _quantize_body(body: Poly, ctx: Context, memo: dict,
-                   free_slots: set[SpectralLabel]) -> Poly:
-    """Prolong every isotypic component of a symbol body and sum."""
-    total = Poly.zero(ctx.n)
-    for degree, part in sorted(body.fiber_parts().items(), reverse=True):
-        for label, piece in projections(part, labels_for_degree(ctx, degree),
-                                        memo).items():
-            total = total + _prolong_component(piece, label, ctx, memo,
-                                               free_slots)
-    return total
+    for label, piece in projections(part, labels_for_degree(ctx, degree),
+                                    memo).items():
+        free_slots.update(SpectralLabel(j, q) for _, _, j, q in
+                          resonant_pairs(n, ctx.delta, [label])
+                          if (j, q) in labels_for_degree(ctx, j))
+        gamma = shift_free_eigenvalue(n, *label)
+        _accumulate(levels.setdefault(degree, {}), piece.terms)
+        current = _numerators(piece.terms)
+        for j in range(degree - 1, -1, -1):
+            current = _nc_body(current, ctx)
+            if not current[0]:
+                break
+            s = gamma - 2 * (n + 1) * ctx.delta * (degree - j)
+            (nums, den), blocked = resolvent(
+                current, n, labels_for_degree(ctx, j), s, memo)
+            if blocked:
+                hit, piece = next(iter(blocked.items()))
+                raise ObstructionError(label, hit, SymbolPoly(piece, ctx))
+            g = gcd(den, *nums.values())
+            current = {key: c // g for key, c in nums.items()}, den // g
+            _accumulate(levels.setdefault(j, {}), {
+                key: Fraction(c, current[1]) for key, c in current[0].items()})
 
 
 def quantize(sym: SymbolPoly) -> QuantizationResult:
-    """Equivariant prolongation of a symbol into an operator.
-
-    Sources of different degrees and labels are processed independently and
-    summed; the principal part of the result equals the input.  One
-    Krylov memo serves the whole call."""
+    """Equivariant prolongation of a symbol into an operator, its parts from
+    the top degree down; the principal part of the result equals the input.
+    One Krylov memo serves the whole call."""
     ctx = sym.context
     free_slots: set[SpectralLabel] = set()
-    total = _quantize_body(sym.body, ctx, {}, free_slots)
-    return QuantizationResult(BidiffOp(total, sym.context), frozenset(free_slots))
+    levels, memo = {}, {}
+    for degree, part in sorted(sym.body.fiber_parts().items(), reverse=True):
+        _solve(part, degree, ctx, memo, free_slots, levels)
+    terms = {key: c for level in levels.values() for key, c in level.items()}
+    return QuantizationResult(BidiffOp(Poly._trusted(ctx.n, terms), ctx),
+                              frozenset(free_slots))
 
 
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
-    """Inverse of quantize, by principal-part peeling; every peeling step
-    shares one Krylov memo."""
+    """Inverse of quantize, by principal-part peeling: the level each
+    source writes at its own degree must be that source.  Every peeling
+    step shares one Krylov memo and one level map."""
     ctx = op.context
-    remaining = op.body
-    collected = Poly.zero(ctx.n)
+    parts = {degree: part.terms for degree, part in op.body.fiber_parts().items()}
     free_slots: set[SpectralLabel] = set()
-    memo: dict = {}
-    while not remaining.is_zero():
-        degree = remaining.fiber_degree()
-        top = remaining.fiber_parts()[degree]
-        collected = collected + top
-        remaining = remaining - _quantize_body(top, ctx, memo, free_slots)
-        if not remaining.is_zero() and remaining.fiber_degree() >= degree:
-            raise AssertionError("peeling failed to lower the order")
-    return SymbolMapResult(SymbolPoly(collected, ctx), frozenset(free_slots))
+    collected, levels, memo = {}, {}, {}
+    for degree in range(max(parts, default=-1), -1, -1):
+        source = dict(parts.get(degree, {}))
+        _accumulate(source, {key: -c for key, c in levels.pop(degree, {}).items()})
+        if source:
+            collected.update(source)
+            _solve(Poly._trusted(ctx.n, source), degree, ctx, memo, free_slots,
+                   levels)
+            if levels.pop(degree, {}) != source:
+                raise AssertionError("peeling failed to lower the order")
+    return SymbolMapResult(SymbolPoly(Poly._trusted(ctx.n, collected), ctx),
+                           frozenset(free_slots))
 
 
 # ----------------------------------------------------------------------

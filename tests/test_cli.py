@@ -207,6 +207,18 @@ def test_symbol_obstruction_exit_two(capsys):
         "source": [2, 0], "blocked": [1, 0], "component": "4*a1"}}
 
 
+@pytest.mark.parametrize("command", ["quantize", "symbol"])
+def test_first_obstruction_from_the_top_is_reported(capsys, command):
+    """Components (2, 1) and (1, 0) both obstruct at this shift; the solve
+    runs from the top degree, so (2, 1) is the one reported."""
+    code, out, _ = run(capsys, command, "--n", "2", "--lambda1", "2/5",
+                       "--lambda2", "-1/7", "--mu", "44/35",
+                       "x1*a1*b2 + x1*x2*b1")
+    assert code == 2
+    assert out == ('{"obstruction": {"blocked": [1, 0], "component": '
+                   '"6/5*b2 + 3/7*a2", "source": [2, 1]}}\n')
+
+
 def test_verify_suites_pass(capsys):
     for suite in ("casimir", "spectrum", "resonance"):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "2",

@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -767,3 +768,103 @@ def test_quantize_keeps_no_spectral_state_after_it_returns():
         tracemalloc.stop()
     assert result.operator.body == sym.body
     assert live < 64 * 1024
+
+
+def test_the_reported_obstruction_is_the_first_from_the_top():
+    """Both components of x1*a1*b2 + x1*x2*b1 obstruct at this shift: (2, 1)
+    at (1, 0), and (1, 0) at (0, 0) on its own.  Degrees are solved from the
+    top, so quantize and symbol_map both report (2, 1)."""
+    ctx = Context(N, (Fraction(2, 5), Fraction(-1, 7)), Fraction(44, 35))
+    assert _outcome(_engine_quantize, sym("x1*x2*b1", ctx))[:2] == ((1, 0), (0, 0))
+    body = parse_poly("x1*a1*b2 + x1*x2*b1", N)
+    expected = ((2, 1), (1, 0), parse_poly("6/5*b2 + 3/7*a2", N))
+    assert _outcome(_engine_quantize, SymbolPoly(body, ctx)) == expected
+    assert _outcome(_engine_symbol_map, BidiffOp(body, ctx)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_obstruction_reports_match_reference_where_several_components_obstruct(n):
+    """At resonant shifts, on seeded bodies with at least two components that
+    obstruct on their own, quantize and symbol_map report the obstruction
+    that `quantize_reference`, solving sources in (-i, p) order, meets
+    first."""
+    rng = random.Random(n)
+    shifts = sorted({resonant_delta(n, *pair) for pair in label_pairs(n, 4)})
+    found = 0
+    for _ in range(200):
+        weights = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+                        for _ in range(2))
+        ctx = Context.from_delta(n, weights, rng.choice(shifts))
+        body = random_body(rng, n, 4, 2, terms=6)
+        components = decompose(SymbolPoly(body, ctx)).values()
+        if sum(len(_outcome(quantize_reference, c)) == 3 for c in components) < 2:
+            continue
+        assert len(_assert_matches_per_label_reference(body, ctx)) == 3
+        found += 1
+        if found == 3:
+            break
+    assert found == 3
+
+
+def test_solve_path_does_no_poly_arithmetic(monkeypatch):
+    """quantize and symbol_map split their input by degree once and add
+    every level into one term map, with no Poly sum or difference."""
+    counts = Counter()
+    for name in ("__add__", "__sub__", "fiber_parts"):
+        def counted(*args, _name=name, _original=getattr(Poly, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(Poly, name, counted)
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    P = sym("x1^2*x2*a1^2*b2^2 + 3*x2*a1*a2*b1 - x1*x2*a2^2 + x1^3*b1 + 5", ctx)
+    operator = quantize(P).operator
+    assert counts == {"fiber_parts": 1}
+    counts.clear()
+    assert symbol_map(operator).symbol.body == P.body
+    assert counts == {"fiber_parts": 1}
+
+
+def _homogeneous(rng, n, degree, arity):
+    """A random body of x-degree at most 2 whose terms all have fiber degree
+    `degree`."""
+    while True:
+        part = random_body(rng, n, degree, 2, arity, terms=12).fiber_parts()
+        if degree in part:
+            return part[degree]
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_peel_matches_reference_where_the_level_map_does_the_work(n, arity):
+    """Peeling matches `symbol_map_reference` and inverts quantize on an
+    operator with only degrees 5 and 1, on one whose degree-4 part is all
+    written by its degree-5 source, so nothing is peeled there, and on the
+    zero operator."""
+    rng = random.Random(700 + 10 * n + arity)
+    ctx = generic_context(rng, n, 5, arity)
+    top = Poly.variable(n, "x", n) * _homogeneous(rng, n, 5, arity)
+    P = SymbolPoly(top + _homogeneous(rng, n, 3, arity), ctx)
+    cancelling = quantize(P).operator.body
+    assert 4 in cancelling.fiber_parts()
+    for body in (top + _homogeneous(rng, n, 1, arity), cancelling, Poly.zero(n)):
+        op = BidiffOp(body, ctx)
+        symbol = symbol_map(op).symbol
+        assert symbol.body == symbol_map_reference(op)[0]
+        assert quantize(symbol).operator.body == body
+    assert symbol_map(BidiffOp(cancelling, ctx)).symbol.body == P.body
+
+
+def test_peel_fails_loudly_when_a_source_is_not_written_back(monkeypatch):
+    """The level a source writes at its own degree must be that source: a
+    projection that loses a nonzero piece breaks the peel, which raises
+    instead of returning a wrong symbol."""
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    op = BidiffOp(parse_poly("x1*a1*b2 + x2*a2^2 + x1", N), ctx)
+    symbol_map(op)
+
+    def dropping(*args):
+        return dict(list(casimir.projections(*args).items())[1:])
+
+    monkeypatch.setattr(quantization, "projections", dropping)
+    with pytest.raises(AssertionError, match="peeling failed"):
+        symbol_map(op)
