@@ -47,18 +47,20 @@ Nothing spectral outlives the call.  The degree-lowering correction
 images per fiber family, and the weights' factors are integers over the lcm
 L of their denominators, so a level's denominator gains the factor L.
 
-The level solve of `quantization` stays on numerators from `_nc_body`
-through `resolvent`'s solved part.  Fractions are built only at the Poly
-boundary: by `projections`, `casimir_symbol` and `casimir_correction` on
-their results, by `resolvent` on its blocked pieces, which go into an
-obstruction, and by the solve once per term of each level.
+The level solve of `quantization` stays on numerators from `projections`
+through `_nc_body` and `resolvent`'s solved part; `resolvent` writes each
+gap s - gamma0(q) as an integer over the denominator of s.  Fractions are
+built only at the Poly boundary: by `casimir_symbol` and
+`casimir_correction` on their results, by `resolvent` on its blocked
+pieces, which go into an obstruction, by `isotypic` on the pieces of
+`projections`, and by the solve once per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, TypeVar, Union
 
 from .densities import (BidiffOp, Context, SymbolPoly, _numerators, _poly,
@@ -237,27 +239,30 @@ def _constants(labels: tuple[SpectralLabel, ...], n: int, memo: dict) -> tuple:
     return nodes, memo[nodes]
 
 
-def projections(body: Poly, labels: tuple[SpectralLabel, ...],
-                memo: dict) -> dict[SpectralLabel, Poly]:
-    """{label: pi_label body} for the labels of one degree, in label order."""
-    n = body.n
+def projections(body: tuple[dict, int], n: int, labels: tuple[SpectralLabel, ...],
+                memo: dict) -> dict[SpectralLabel, tuple[dict, int]]:
+    """{label: pi_label body} for the labels of one degree, in label order,
+    body and each piece being (numerators, denominator)."""
     _, (D, coefficients) = _constants(labels, n, memo)
-    pieces = _combine(_numerators(body.terms), [(row, D) for row in coefficients],
-                      memo)
-    return {label: _poly(n, *piece) for label, piece in zip(labels, pieces)
-            if piece[0]}
+    pieces = _combine(body, [(row, D) for row in coefficients], memo)
+    return {label: piece for label, piece in zip(labels, pieces) if piece[0]}
 
 
 def resolvent(body: tuple[dict, int], n: int, labels: tuple[SpectralLabel, ...],
               s, memo: dict) -> tuple[tuple[dict, int], dict[SpectralLabel, Poly]]:
     """(sum over the labels q with gamma0(q) != s of pi_q body / (s - gamma0(q)),
     {q: pi_q body} for the labels with gamma0(q) = s), body and the solved
-    part being (numerators, denominator)."""
+    part being (numerators, denominator).  With s = a/b each gap is the
+    integer a - b gamma0(q) over b, reduced by their gcd."""
     nodes, (D, coefficients) = _constants(labels, n, memo)
-    gaps = [s - node for node in nodes]
-    E = lcm(*(gap.numerator for gap in gaps if gap))
-    weights = [E // gap.numerator * gap.denominator if gap else 0
-               for gap in gaps]
+    a, b = s.as_integer_ratio()
+    gaps = []
+    for node in nodes:
+        gap = a - b * node
+        g = gcd(gap, b)
+        gaps.append((gap // g, b // g) if gap else None)
+    E = lcm(*(gap[0] for gap in gaps if gap))
+    weights = [E // gap[0] * gap[1] if gap else 0 for gap in gaps]
     row = [sum(w * c for w, c in zip(weights, column))
            for column in zip(*coefficients)]
     blocked = [q for q, gap in enumerate(gaps) if not gap]

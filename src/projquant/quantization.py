@@ -5,15 +5,19 @@
 eigenvector of the operator Casimir by solving the triangular system level
 by level: at each lower degree every label's piece of the correction is
 divided by its eigenvalue gap, in one `casimir.resolvent` call per level,
-until the correction vanishes.  Within a component the levels are integer
-numerators over one denominator, reduced by their gcd at each level; each
-level's terms become Fractions once, added into one map from fiber degree
-to terms.  Labels at a vanishing gap, the source's resonances, are free
-slots, set to zero; a nonzero piece there is an obstruction, reported with
-its label and exact component to read weight conditions off.
+until the correction vanishes.  From the projection to the output every
+level is integer numerators over one denominator, reduced by their gcd,
+and goes into one map from fiber degree to such entries; each degree's
+entries are summed once, over the lcm of their denominators, and a
+Fraction is built once per output term.  Labels at a vanishing gap, the
+source's resonances, are free slots, set to zero; a nonzero piece there
+is an obstruction, reported with its label and exact component to read
+weight conditions off.
 
 `symbol_map` peels from the top on the same map: each degree's source is
-the operator's part less the level the higher sources wrote there.
+the operator's part less the entries the higher sources wrote there,
+formed in integers, and the entries a source writes at its own degree
+must sum to that source.
 
 The second-order closed forms, the arity-one quantization, the polarization
 maps between unary and binary second-order symbols, and the two
@@ -25,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .casimir import (SpectralLabel, _nc_body, labels_for_degree, projections,
                       resolvent, shift_free_eigenvalue)
-from .densities import ArityError, BidiffOp, Context, SymbolPoly, _numerators
+from .densities import (ArityError, BidiffOp, Context, SymbolPoly, _numerators,
+                         _poly)
 from .poly import ALPHA, BETA, Poly, as_fraction
 from .resonance import resonant_pairs
 
@@ -77,77 +82,101 @@ class SymbolMapResult:
         return not self.free_slots
 
 
-def _accumulate(level: dict, terms: dict) -> None:
-    """Add terms into a term map in place, adding only where keys collide."""
-    for key, c in terms.items():
-        c = level.pop(key) + c if key in level else c
-        if c:
-            level[key] = c
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """Numerators and their denominator divided by their gcd, so that equal
+    term maps have equal reduced forms."""
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {key: c // g for key, c in nums.items()}, den // g
 
 
-def _solve(part: Poly, degree: int, ctx: Context, memo: dict,
-           free_slots: set[SpectralLabel], levels: dict[int, dict]) -> None:
-    """Prolong each component of a homogeneous part, labels in order, into
-    levels, a map from fiber degree to terms.  At degree j the gap to (j, q)
-    is s - gamma0(j, q), s being the source's gamma0 less 2(n+1) delta
-    (i - j), zero at the source's `resonant_pairs`.  Each level is integer
-    numerators over one denominator, reduced by their gcd; the solve stops
-    at the first zero correction: every level below is zero."""
+def _sum(plus: list, minus: list = ()) -> tuple[dict, int]:
+    """sum(plus) - sum(minus) of (numerators, denominator) entries without
+    zero numerators, over the lcm of their denominators, zeros left out."""
+    if len(plus) == 1 and not minus:
+        return plus[0]
+    den = lcm(*(d for _, d in plus), *(d for _, d in minus))
+    out: dict = {}
+    for entries, sign in ((plus, 1), (minus, -1)):
+        for nums, d in entries:
+            scale = sign * (den // d)
+            for key, c in nums.items():
+                out[key] = out.get(key, 0) + c * scale
+    return {key: c for key, c in out.items() if c}, den
+
+
+def _solve(part: tuple[dict, int], degree: int, ctx: Context, delta: Fraction,
+           memo: dict, free_slots: set[SpectralLabel],
+           levels: dict[int, list]) -> None:
+    """Prolong each component of a homogeneous part, given as (numerators,
+    denominator), labels in order, into levels, a map from fiber degree to
+    a list of (numerators, denominator) entries, each reduced by its gcd.
+    At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
+    gamma0 less 2(n+1) delta (i - j), zero at the source's
+    `resonant_pairs`; delta is the context's shift, read once by the
+    caller.  The solve stops at the first zero correction: every level
+    below is zero."""
     n = ctx.n
-    for label, piece in projections(part, labels_for_degree(ctx, degree),
+    a, b = delta.as_integer_ratio()
+    for label, piece in projections(part, n, labels_for_degree(ctx, degree),
                                     memo).items():
         free_slots.update(SpectralLabel(j, q) for _, _, j, q in
-                          resonant_pairs(n, ctx.delta, [label])
+                          resonant_pairs(n, delta, [label])
                           if (j, q) in labels_for_degree(ctx, j))
         gamma = shift_free_eigenvalue(n, *label)
-        _accumulate(levels.setdefault(degree, {}), piece.terms)
-        current = _numerators(piece.terms)
+        current = _reduced(*piece)
+        levels.setdefault(degree, []).append(current)
         for j in range(degree - 1, -1, -1):
             current = _nc_body(current, ctx)
             if not current[0]:
                 break
-            s = gamma - 2 * (n + 1) * ctx.delta * (degree - j)
-            (nums, den), blocked = resolvent(
-                current, n, labels_for_degree(ctx, j), s, memo)
+            s = Fraction(gamma * b - 2 * (n + 1) * a * (degree - j), b)
+            solved, blocked = resolvent(current, n, labels_for_degree(ctx, j),
+                                        s, memo)
             if blocked:
                 hit, piece = next(iter(blocked.items()))
                 raise ObstructionError(label, hit, SymbolPoly(piece, ctx))
-            g = gcd(den, *nums.values())
-            current = {key: c // g for key, c in nums.items()}, den // g
-            _accumulate(levels.setdefault(j, {}), {
-                key: Fraction(c, current[1]) for key, c in current[0].items()})
+            current = _reduced(*solved)
+            levels.setdefault(j, []).append(current)
 
 
 def quantize(sym: SymbolPoly) -> QuantizationResult:
     """Equivariant prolongation of a symbol into an operator, its parts from
     the top degree down; the principal part of the result equals the input.
-    One Krylov memo serves the whole call."""
+    One Krylov memo serves the whole call, and each degree's entries are
+    summed once, one Fraction per output term."""
     ctx = sym.context
+    delta = ctx.delta
     free_slots: set[SpectralLabel] = set()
     levels, memo = {}, {}
     for degree, part in sorted(sym.body.fiber_parts().items(), reverse=True):
-        _solve(part, degree, ctx, memo, free_slots, levels)
-    terms = {key: c for level in levels.values() for key, c in level.items()}
+        _solve(_numerators(part.terms), degree, ctx, delta, memo, free_slots,
+               levels)
+    terms: dict = {}
+    for entries in levels.values():
+        terms.update(_poly(ctx.n, *_sum(entries)).terms)
     return QuantizationResult(BidiffOp(Poly._trusted(ctx.n, terms), ctx),
                               frozenset(free_slots))
 
 
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
     """Inverse of quantize, by principal-part peeling: the level each
-    source writes at its own degree must be that source.  Every peeling
-    step shares one Krylov memo and one level map."""
+    source writes at its own degree must be that source, compared in
+    gcd-reduced form.  Every peeling step shares one Krylov memo and one
+    level map."""
     ctx = op.context
-    parts = {degree: part.terms for degree, part in op.body.fiber_parts().items()}
+    delta = ctx.delta
+    parts = {degree: [_numerators(part.terms)]
+             for degree, part in op.body.fiber_parts().items()}
     free_slots: set[SpectralLabel] = set()
     collected, levels, memo = {}, {}, {}
     for degree in range(max(parts, default=-1), -1, -1):
-        source = dict(parts.get(degree, {}))
-        _accumulate(source, {key: -c for key, c in levels.pop(degree, {}).items()})
-        if source:
-            collected.update(source)
-            _solve(Poly._trusted(ctx.n, source), degree, ctx, memo, free_slots,
-                   levels)
-            if levels.pop(degree, {}) != source:
+        source = _reduced(*_sum(parts.get(degree, []), levels.pop(degree, [])))
+        if source[0]:
+            collected.update(_poly(ctx.n, *source).terms)
+            _solve(source, degree, ctx, delta, memo, free_slots, levels)
+            if _reduced(*_sum(levels.pop(degree, []))) != source:
                 raise AssertionError("peeling failed to lower the order")
     return SymbolMapResult(SymbolPoly(Poly._trusted(ctx.n, collected), ctx),
                            frozenset(free_slots))

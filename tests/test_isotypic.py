@@ -31,6 +31,12 @@ def sym(expr, ctx=CTX):
     return SymbolPoly(parse_poly(expr, ctx.n), ctx)
 
 
+def project(body, labels, memo):
+    """`projections` of a Poly, with the pieces back as Polys."""
+    return {label: _poly(body.n, *piece) for label, piece in
+            projections(_numerators(body.terms), body.n, labels, memo).items()}
+
+
 def resolve(body, labels, s, memo):
     """`resolvent` of a Poly, with the solved part back as a Poly."""
     solved, blocked = resolvent(_numerators(body.terms), body.n, labels, s, memo)
@@ -280,7 +286,7 @@ def test_projections_and_resolvent_match_lagrange_references(n, arity):
 
         generic = Fraction(-1, 3)
         for memo in ({}, shared):
-            got = projections(body, labels, memo)
+            got = project(body, labels, memo)
             assert got == pieces
             assert list(got) == [label for label in labels if label in pieces]
             assert resolve(body, labels, generic, memo) == (divided(generic), {})
@@ -300,7 +306,7 @@ def test_resolvent_at_a_label_whose_piece_is_zero_blocks_nothing():
     ctx = ctx_d(2, 0)
     body = parse_poly("a1^4", 2)
     labels = labels_for_degree(ctx, 4)
-    assert projections(body, labels, {}) == {(4, 0): body}
+    assert project(body, labels, {}) == {(4, 0): body}
     s = Fraction(shift_free_eigenvalue(2, 4, 1))
     gap = s - shift_free_eigenvalue(2, 4, 0)
     assert resolve(body, labels, s, {}) == (body.scale(1 / gap), {})
@@ -318,8 +324,8 @@ def test_memo_filled_by_a_shorter_row_gives_fresh_pieces(n):
     (image,) = _combine(_numerators(body.terms), [((1, 1), 1)], memo)
     # at shift 0 casimir_symbol is C0 itself
     assert _poly(n, *image) == body + casimir_symbol(SymbolPoly(body, ctx_d(n, 0))).body
-    shared = projections(body, labels, memo)
-    assert shared == projections(body, labels, {})
+    shared = project(body, labels, memo)
+    assert shared == project(body, labels, {})
     reference = decompose_reference(SymbolPoly(body, ctx))
     assert {label: SymbolPoly(piece, ctx) for label, piece in shared.items()} == reference
     assert len(reference) == 3

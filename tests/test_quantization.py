@@ -824,6 +824,31 @@ def test_solve_path_does_no_poly_arithmetic(monkeypatch):
     assert counts == {"fiber_parts": 1}
 
 
+def test_level_sums_add_no_fractions_per_term(monkeypatch):
+    """Every level is summed in integers, over one denominator per degree:
+    the Fraction additions of quantize and symbol_map do not grow with the
+    body, though about 30 more terms make many more keys shared between
+    components."""
+    ctx = Context(N, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    small = sym("x1^2*x2*a1^2*b2^2 + 3*x2*a1*a2*b1 - x1*x2*a2^2 + x1^3*b1 + 5", ctx)
+    large = SymbolPoly(small.body + random_body(random.Random(24), N, 4, 3,
+                                                terms=30), ctx)
+    assert len(large.body.terms) >= len(small.body.terms) + 25
+    counts = Counter()
+    for name in ("__add__", "__radd__"):
+        def counted(*args, _original=getattr(Fraction, name)):
+            counts[Fraction] += 1
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    additions = []
+    for P in (small, large):
+        counts.clear()
+        operator = quantize(P).operator
+        assert symbol_map(operator).symbol.body == P.body
+        additions.append(counts[Fraction])
+    assert additions[0] == additions[1]
+
+
 def _homogeneous(rng, n, degree, arity):
     """A random body of x-degree at most 2 whose terms all have fiber degree
     `degree`."""
