@@ -18,13 +18,14 @@ shift-free gap minus 2(n+1) d (i - j).  `highest_weight_vector` produces
 the canonical generator of each block.
 
 Every function of C0 the engine applies is built here, as rows of integer
-weights on the Krylov vectors m, C0 m, C0^2 m, ... of each distinct fiber
-monomial m of a body; C0 ignores x, so f(C0)(x^s m) = x^s f(C0)(m).  One
-kernel, `_combine`, applies the rows to a body given as integer numerators
-over one denominator, returns (numerators, denominator) per row, and grows
-each m's Krylov vectors on demand in a plain dict memo that lives for one
-top-level call (`decompose`, `quantize`, `symbol_map`, `casimir_symbol`).
-There are three kinds of row:
+weights on the Krylov vectors p, C0 p, C0^2 p, ... of the fiber polynomial
+p of each distinct x monomial of a body; C0 ignores x, so f(C0)(x^s p) =
+x^s f(C0)(p).  One kernel, `_combine`, applies the rows to a body given as
+integer numerators over one denominator and returns (numerators,
+denominator) per row.  Every Krylov step reads C0 m of each monomial m
+from a plain dict memo that lives for one top-level call (`decompose`,
+`quantize`, `symbol_map`, `casimir_symbol`), so `fiber_casimir` maps each
+monomial once per call.  There are three kinds of row:
 
 - `casimir_symbol`: C0 + sigma, sigma the shift part of one fiber degree,
   is the row [sigma.numerator, sigma.denominator] over sigma.denominator.
@@ -45,7 +46,8 @@ ints and a fiber key holds two exponent tuples, so the keys cannot collide.
 Nothing spectral outlives the call.  The degree-lowering correction
 `_nc_body` is one integer pass over the terms: each term maps to at most n
 images per fiber family, and the weights' factors are integers over the lcm
-L of their denominators, so a level's denominator gains the factor L.
+L of their denominators, so a level's denominator gains the factor L; L and
+the factors (`_nc_weights`) are read once per call.
 
 The level solve of `quantization` stays on numerators from `projections`
 through `_nc_body` and `resolvent`'s solved part; `resolvent` writes each
@@ -172,41 +174,45 @@ def fiber_casimir(u: tuple[int, ...], v: tuple[int, ...], n: int) -> list:
     return out
 
 
+def _image(m: tuple, memo: dict) -> dict:
+    """C0 m for the fiber monomial m, computed once per memo."""
+    image = memo.get(m)
+    if image is None:
+        image = memo[m] = {(u, v): k
+                           for u, v, k in fiber_casimir(*m, len(m[0]))}
+    return image
+
+
 def _combine(body: tuple[dict, int], rows: list, memo: dict) -> list:
     """sum_k row[k] C0^k body / row_den for each row (row, row_den) of
     integers, body being (numerators, denominator); one (numerators,
     denominator) per row, zero numerators left out.
 
-    memo maps fiber monomials m to their Krylov vectors m, C0 m, C0^2 m, ...;
-    each list grows on demand to the longest row of the call, so one memo
-    serves rows of any length.  Each row is combined once per m and
-    accumulated over the x monomials that carry m."""
+    The body is grouped by x monomial: the Krylov vectors p, C0 p, ... of
+    each x monomial's fiber polynomial p grow to the longest row of the
+    call, each step summing the memo's images of the monomials of the last
+    one, and each row combines them once."""
     terms, den = body
-    fibers: dict = {}
+    polys: dict = {}
     for (xa, aa, ba), c in terms.items():
-        fibers.setdefault((aa, ba), []).append((xa, c))
+        polys.setdefault(xa, {})[(aa, ba)] = c
     length = max(len(row) for row, _ in rows)
     outs: list = [{} for _ in rows]
-    for fiber, carriers in fibers.items():
-        krylov = memo.setdefault(fiber, [{fiber: 1}])
+    for xa, poly in polys.items():
+        krylov = [poly]
         while len(krylov) < length:
             step: dict = {}
-            for (u1, v1), c in krylov[-1].items():
-                for u2, v2, k in fiber_casimir(u1, v1, len(u1)):
-                    step[(u2, v2)] = step.get((u2, v2), 0) + c * k
+            for m, c in krylov[-1].items():
+                for key, k in _image(m, memo).items():
+                    step[key] = step.get(key, 0) + c * k
             krylov.append(step)
         for (row, _), out in zip(rows, outs):
             num: dict = {}
             for k, vector in zip(row, krylov):
                 for key, c in vector.items():
                     num[key] = num.get(key, 0) + k * c
-            image = [(a, b, c) for (a, b), c in num.items() if c]
-            for xa, c in carriers:
-                for a, b, k in image:
-                    key = (xa, a, b)
-                    out[key] = out.get(key, 0) + c * k
-    return [({key: c for key, c in out.items() if c}, row_den * den)
-            for (_, row_den), out in zip(rows, outs)]
+            out.update(((xa, a, b), c) for (a, b), c in num.items() if c)
+    return [(out, row_den * den) for (_, row_den), out in zip(rows, outs)]
 
 
 def projector_constants(nodes: tuple[int, ...]) -> tuple:
@@ -289,18 +295,26 @@ def casimir_symbol(arg: _OpOrSym) -> _OpOrSym:
     return type(arg)(Poly._trusted(n, terms), ctx)
 
 
-def _nc_body(body: tuple[dict, int], ctx: Context) -> tuple[dict, int]:
+def _nc_weights(ctx: Context) -> tuple[int, tuple]:
+    """(L, ((slot, (n+1) lam L), ...)): the lcm L of the weight denominators
+    and, per fiber family with weight lam and key slot 1 or 2, its integer
+    shift (n+1) lam over L; read once per `quantize`, `symbol_map` or
+    `casimir_correction` call and handed to `_nc_body`."""
+    L = lcm(*(lam.denominator for lam in ctx.weights))
+    return L, tuple((slot, (ctx.n + 1) * lam.numerator * (L // lam.denominator))
+                    for slot, lam in zip((1, 2), ctx.weights))
+
+
+def _nc_body(body: tuple[dict, int], weights: tuple[int, tuple]
+             ) -> tuple[dict, int]:
     """One pass over the terms of body = (numerators, denominator): for each
     fiber family with weight lam and each index i, x^s u maps to
     x^(s - e_i) u' with coefficient 2 s_i u_i (|u| - 1 + (n+1) lam), u the
     family's monomial and u' that monomial with its i-th exponent lowered
-    by one.  Each factor is an integer over L, the lcm of the weight
-    denominators, so the image is over denominator * L."""
+    by one.  Each factor is an integer over L, weights being `_nc_weights`
+    of the context, so the image is over denominator * L."""
     terms, den = body
-    n = ctx.n
-    L = lcm(*(lam.denominator for lam in ctx.weights))
-    families = [(slot, (n + 1) * lam.numerator * (L // lam.denominator))
-                for slot, lam in zip((1, 2), ctx.weights)]
+    L, families = weights
     out: dict = {}
     for key, c in terms.items():
         xa = key[0]
@@ -332,7 +346,7 @@ def casimir_correction(arg: _OpOrSym) -> _OpOrSym:
     """Degree-lowering part: one x-derivative paired with one fiber
     derivative per family, weighted by the fiber degree plus (n+1) times the
     argument weight."""
-    body = _nc_body(_numerators(arg.body.terms), arg.context)
+    body = _nc_body(_numerators(arg.body.terms), _nc_weights(arg.context))
     return type(arg)(_poly(arg.context.n, *body), arg.context)
 
 

@@ -41,9 +41,11 @@ SCAN_ORDER_LIMIT = 64
 # degree only, since the cost also grows with n and the x-degree.  In
 # process (Python 3.11, shared 2-vCPU host, weights 1/3 and 1/5, mu 1/7,
 # best of 2), at n=3 the x-free a1^11*a2^11*a3^10*b1^10*b2^11*b3^11
-# (degree 64) takes 0.26 s, a1^30*a2^30*b2^30*b3^30 (degree 120) 2.2 s and
-# x1^2*x2*a1^6*a2^6*b2^6*b3^6 (degree 24) 2.2 s; at n=2 a1^64 takes under
-# 0.01 s and a1^800 3.9 s.
+# (degree 64) takes 0.13 s, a1^30*a2^30*b2^30*b3^30 (degree 120) 1.4 s and
+# x1^2*x2*a1^6*a2^6*b2^6*b3^6 (degree 24) 0.24 s; at n=2 a1^64 takes under
+# 0.01 s and a1^800 3.7 s.  As a whole CLI run, quantize --n 3 of
+# x1^2*x2*a1^e*a2^e*b2^e*b3^e takes 0.35 s at e = 6 (degree 24), 0.9 s at
+# e = 8 and 2.0 s at e = 10 (degree 40).
 SOLVE_DEGREE_LIMIT = 64
 
 # Highest --n that quantize and symbol accept, checked before the expression

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .casimir import (SpectralLabel, _nc_body, labels_for_degree, projections,
-                      resolvent, shift_free_eigenvalue)
+from .casimir import (SpectralLabel, _nc_body, _nc_weights, labels_for_degree,
+                      projections, resolvent, shift_free_eigenvalue)
 from .densities import (ArityError, BidiffOp, Context, SymbolPoly, _numerators,
                          _poly)
 from .poly import ALPHA, BETA, Poly, as_fraction
@@ -107,16 +107,16 @@ def _sum(plus: list, minus: list = ()) -> tuple[dict, int]:
 
 
 def _solve(part: tuple[dict, int], degree: int, ctx: Context, delta: Fraction,
-           memo: dict, free_slots: set[SpectralLabel],
+           weights: tuple, memo: dict, free_slots: set[SpectralLabel],
            levels: dict[int, list]) -> None:
     """Prolong each component of a homogeneous part, given as (numerators,
     denominator), labels in order, into levels, a map from fiber degree to
     a list of (numerators, denominator) entries, each reduced by its gcd.
     At degree j the gap to (j, q) is s - gamma0(j, q), s being the source's
     gamma0 less 2(n+1) delta (i - j), zero at the source's
-    `resonant_pairs`; delta is the context's shift, read once by the
-    caller.  The solve stops at the first zero correction: every level
-    below is zero."""
+    `resonant_pairs`; delta is the context's shift and weights its
+    `_nc_weights`, both read once by the caller.  The solve stops at the
+    first zero correction: every level below is zero."""
     n = ctx.n
     a, b = delta.as_integer_ratio()
     for label, piece in projections(part, n, labels_for_degree(ctx, degree),
@@ -128,7 +128,7 @@ def _solve(part: tuple[dict, int], degree: int, ctx: Context, delta: Fraction,
         current = _reduced(*piece)
         levels.setdefault(degree, []).append(current)
         for j in range(degree - 1, -1, -1):
-            current = _nc_body(current, ctx)
+            current = _nc_body(current, weights)
             if not current[0]:
                 break
             s = Fraction(gamma * b - 2 * (n + 1) * a * (degree - j), b)
@@ -144,15 +144,15 @@ def _solve(part: tuple[dict, int], degree: int, ctx: Context, delta: Fraction,
 def quantize(sym: SymbolPoly) -> QuantizationResult:
     """Equivariant prolongation of a symbol into an operator, its parts from
     the top degree down; the principal part of the result equals the input.
-    One Krylov memo serves the whole call, and each degree's entries are
+    One memo serves the whole call, and each degree's entries are
     summed once, one Fraction per output term."""
     ctx = sym.context
-    delta = ctx.delta
+    delta, weights = ctx.delta, _nc_weights(ctx)
     free_slots: set[SpectralLabel] = set()
     levels, memo = {}, {}
     for degree, part in sorted(sym.body.fiber_parts().items(), reverse=True):
-        _solve(_numerators(part.terms), degree, ctx, delta, memo, free_slots,
-               levels)
+        _solve(_numerators(part.terms), degree, ctx, delta, weights, memo,
+               free_slots, levels)
     terms: dict = {}
     for entries in levels.values():
         terms.update(_poly(ctx.n, *_sum(entries)).terms)
@@ -163,10 +163,10 @@ def quantize(sym: SymbolPoly) -> QuantizationResult:
 def symbol_map(op: BidiffOp) -> SymbolMapResult:
     """Inverse of quantize, by principal-part peeling: the level each
     source writes at its own degree must be that source, compared in
-    gcd-reduced form.  Every peeling step shares one Krylov memo and one
+    gcd-reduced form.  Every peeling step shares one memo and one
     level map."""
     ctx = op.context
-    delta = ctx.delta
+    delta, weights = ctx.delta, _nc_weights(ctx)
     parts = {degree: [_numerators(part.terms)]
              for degree, part in op.body.fiber_parts().items()}
     free_slots: set[SpectralLabel] = set()
@@ -175,7 +175,8 @@ def symbol_map(op: BidiffOp) -> SymbolMapResult:
         source = _reduced(*_sum(parts.get(degree, []), levels.pop(degree, [])))
         if source[0]:
             collected.update(_poly(ctx.n, *source).terms)
-            _solve(source, degree, ctx, delta, memo, free_slots, levels)
+            _solve(source, degree, ctx, delta, weights, memo, free_slots,
+                   levels)
             if _reduced(*_sum(levels.pop(degree, []))) != source:
                 raise AssertionError("peeling failed to lower the order")
     return SymbolMapResult(SymbolPoly(Poly._trusted(ctx.n, collected), ctx),

@@ -75,6 +75,10 @@ CLI_CASES = {
     "quantize-n3-degree16": (["quantize", "--n", "3", "--lambda1", "1/3",
                               "--lambda2", "1/5", "--mu", "1/7",
                               "x1^2*x2*a1^4*a2^4*b2^4*b3^4"], 0),
+    # fiber degree 24 at n = 3: thirteen labels, (24, 0) to (24, 12)
+    "quantize-n3-degree24": (["quantize", "--n", "3", "--lambda1", "1/3",
+                              "--lambda2", "1/5", "--mu", "1/7",
+                              "x1^2*x2*a1^6*a2^6*b2^6*b3^6"], 0),
     # the text renderings of the scans, without --json
     "critical-n2-text": (["critical", "--n", "2", "--range", "1", "5/3"], 0),
     "critical-n2-text-empty": (["critical", "--n", "2", "--range", "0",

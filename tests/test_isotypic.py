@@ -9,15 +9,18 @@ from projquant.casimir import (_combine, casimir_eigenvalue, casimir_symbol,
                                highest_weight_vector, labels_for_degree,
                                projections, projector_constants, resolvent,
                                shift_free_eigenvalue)
-from projquant.densities import (Context, SymbolPoly, _numerators, _poly,
-                                 lie_derivative_symbol)
+from projquant.densities import (BidiffOp, Context, SymbolPoly, _numerators,
+                                 _poly, lie_derivative_symbol)
 from projquant.isotypic import decompose, isotypic_project
 from projquant.parsing import parse_poly
-from projquant.poly import Poly
+from projquant.poly import Poly, multi_indices
+from projquant.quantization import quantize, symbol_map
 from projquant.sampling import random_body
 from projquant.slbasis import sl_basis
 
-from oracles import ct_body_reference, decompose_reference, project_fiber_reference
+from oracles import (ct_body_reference, decompose_reference,
+                     project_fiber_reference, quantize_reference,
+                     symbol_map_reference)
 
 
 def ctx_d(n, delta):
@@ -260,6 +263,30 @@ def test_krylov_projection_matches_lagrange_references(n, arity):
     assert decompose(zero) == decompose_reference(zero) == {}
 
 
+def assert_matches_lagrange_references(body, labels, pieces, memo):
+    """`projections` gives pieces, the nonzero pieces of decompose_reference
+    in label order; `resolvent` at a generic s gives the sum of
+    piece_q / (s - gamma_q), and at s = gamma_r the sum over q != r with
+    exactly piece r blocked, if it is nonzero."""
+    n = body.n
+
+    def divided(s, skip=None):
+        return sum((piece.scale(1 / (s - shift_free_eigenvalue(n, *label)))
+                    for label, piece in pieces.items() if label != skip),
+                   Poly.zero(n))
+
+    got = project(body, labels, memo)
+    assert got == pieces
+    assert list(got) == [label for label in labels if label in pieces]
+    generic = Fraction(-1, 3)
+    assert resolve(body, labels, generic, memo) == (divided(generic), {})
+    for label in labels:
+        s = Fraction(shift_free_eigenvalue(n, *label))
+        blocked = {label: pieces[label]} if label in pieces else {}
+        assert resolve(body, labels, s, memo) == (divided(s, skip=label),
+                                                  blocked)
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projections_and_resolvent_match_lagrange_references(n, arity):
@@ -278,25 +305,67 @@ def test_projections_and_resolvent_match_lagrange_references(n, arity):
         reference = decompose_reference(SymbolPoly(body, ctx))
         pieces = {label: reference[label].body for label in labels
                   if label in reference}
-
-        def divided(s, skip=None):
-            return sum((piece.scale(1 / (s - shift_free_eigenvalue(n, *label)))
-                        for label, piece in pieces.items() if label != skip),
-                       Poly.zero(n))
-
-        generic = Fraction(-1, 3)
         for memo in ({}, shared):
-            got = project(body, labels, memo)
-            assert got == pieces
-            assert list(got) == [label for label in labels if label in pieces]
-            assert resolve(body, labels, generic, memo) == (divided(generic), {})
-            for label in labels:
-                s = Fraction(shift_free_eigenvalue(n, *label))
-                blocked = {label: pieces[label]} if label in pieces else {}
-                assert resolve(body, labels, s, memo) == (
-                    divided(s, skip=label), blocked)
+            assert_matches_lagrange_references(body, labels, pieces, memo)
     assert max(len(labels_for_degree(ctx, d)) for d in range(8)) == (
         4 if n > 1 and arity == 2 else 1)
+
+
+def weight_space(weight):
+    """Every fiber monomial a^u b^v with u + v = weight."""
+    spaces = [[(k, w - k) for k in range(w + 1)] for w in weight]
+    fibers = [((), ())]
+    for space in spaces:
+        fibers = [(u + (k,), v + (l,)) for u, v in fibers for k, l in space]
+    return fibers
+
+
+def grouped_body(rng, n, carriers):
+    """sum over (x monomial, fibers) of carriers of x^s times each fiber,
+    with nonzero rational coefficients."""
+    terms = {}
+    for xa, fibers in carriers:
+        for u, v in fibers:
+            sign = rng.choice((-1, 1))
+            terms[(xa, u, v)] = Fraction(sign * rng.randint(1, 9),
+                                         rng.randint(1, 7))
+    return Poly(n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_x_and_fiber_heavy_bodies_match_lagrange_and_solve_references(n):
+    """The kernel takes one Krylov sequence per x monomial.  One x monomial
+    over a whole weight space, ten x monomials over one fiber, and two x
+    monomials over a weight space plus one more on one of its monomials:
+    each body's pieces, resolvents, quantization and symbol match the
+    references."""
+    rng = random.Random(500 + n)
+    ctx = Context.from_delta(n, (Fraction(2, 7), Fraction(-3, 11)),
+                             Fraction(5, 13))
+    space = weight_space((3, 3) if n == 2 else (2, 1, 1))
+    x1, x2 = ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+    x12 = tuple(a + b for a, b in zip(x1, x2))
+    cases = (
+        [(x12, space)],
+        [(xa, space[:1]) for d in range(4) for xa in multi_indices(n, d)][:10],
+        [(x1, space), (x2, space), (x12, space[-1:])],
+    )
+    for carriers in cases:
+        body = grouped_body(rng, n, carriers)
+        degree = body.fiber_degree()
+        labels = labels_for_degree(ctx, degree)
+        assert len(labels) > 2
+        reference = decompose_reference(SymbolPoly(body, ctx))
+        pieces = {label: piece.body for label, piece in reference.items()}
+        assert_matches_lagrange_references(body, labels, pieces, {})
+        operator, free_slots = quantize_reference(SymbolPoly(body, ctx))
+        result = quantize(SymbolPoly(body, ctx))
+        assert (result.operator.body, result.free_slots) == (operator,
+                                                             free_slots)
+        op = BidiffOp(body, ctx)
+        symbol, free_slots = symbol_map_reference(op)
+        result = symbol_map(op)
+        assert (result.symbol.body, result.free_slots) == (symbol, free_slots)
 
 
 def test_resolvent_at_a_label_whose_piece_is_zero_blocks_nothing():

@@ -51,14 +51,20 @@ def test_only_casimir_states_which_labels_exist():
 
 
 def test_the_level_kernels_are_integer_only():
-    """`_nc_body` and `_combine` work on integer numerators over one
-    denominator: Fractions and Polys are built only at their callers'
-    boundary."""
+    """`_nc_body` and `_combine`, and every casimir function they reach,
+    work on integer numerators over one denominator: Fractions and Polys
+    are built only at their callers' boundary."""
     tree = ast.parse(Path(projquant.casimir.__file__).read_text())
-    kernels = {node.name: node for node in tree.body
-               if isinstance(node, ast.FunctionDef)
-               and node.name in ("_nc_body", "_combine")}
-    assert set(kernels) == {"_nc_body", "_combine"}
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    kernels, pending = {}, ["_nc_body", "_combine"]
+    while pending:
+        name = pending.pop()
+        kernels[name] = functions[name]
+        pending.extend({node.id for node in ast.walk(functions[name])
+                        if isinstance(node, ast.Name) and node.id in functions}
+                       - set(kernels) - set(pending))
+    assert set(kernels) == {"_nc_body", "_combine", "_image", "fiber_casimir"}
     for name, kernel in kernels.items():
         named = {getattr(node, "id", None) for node in ast.walk(kernel)}
         named |= {getattr(node, "attr", None) for node in ast.walk(kernel)}

@@ -741,6 +741,24 @@ def test_solve_stops_at_the_first_zero_correction(monkeypatch):
         assert 0 < len(calls) <= (x_degree + 1) * len(decompose(sym))
 
 
+def test_each_fiber_monomial_is_mapped_by_c0_once_per_call(monkeypatch):
+    """Every Krylov step reads C0 of a monomial from the call's memo, so in
+    one quantize `fiber_casimir` sees each fiber monomial the solve reaches
+    exactly once, however many sequences and levels reach it."""
+    calls = []
+
+    def counted(u, v, n):
+        calls.append((u, v))
+        return fiber_casimir(u, v, n)
+
+    fiber_casimir = casimir.fiber_casimir
+    monkeypatch.setattr(casimir, "fiber_casimir", counted)
+    ctx = Context(3, (Fraction(1, 3), Fraction(1, 5)), Fraction(1, 7))
+    quantize(SymbolPoly(parse_poly("x1^2*x2*a1^4*a2^4*b2^4*b3^4", 3), ctx))
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
 def test_high_degree_x_free_symbol_is_its_own_quantization():
     """a1^400 at n = 2 has 201 labels at its degree and a zero correction
     at its first level, where the solve stops.  Projector constants built
